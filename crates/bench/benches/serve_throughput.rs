@@ -39,7 +39,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
                     ) as Box<dyn StreamingDetector + Send>
                 })
                 .expect("start");
-                engine.submit_batch(points.iter().cloned()).expect("submit");
+                engine.submit_batch_rows(&points).expect("submit");
                 let report = engine.finish().expect("drain");
                 black_box(report.stats.total_processed)
             })

@@ -302,8 +302,9 @@ fn check_file(path: &Path) -> Vec<String> {
         if stem == "BENCH_scaling" {
             // The producer-scaling matrix additionally pins its contract:
             // a host block (the numbers are unreadable without knowing the
-            // core count they ran on) and, in every (shards, channel) cell,
-            // a producers=1 anchor run so each speedup has a denominator.
+            // core count they ran on) and, for every shard count, a
+            // producers=1 anchor run so each speedup has a denominator. The
+            // engine has one channel, so every run must say `ring`.
             match get(&value, "host") {
                 Some(host) if host.as_object().is_some() => {
                     match get_num(host, "available_parallelism") {
@@ -320,18 +321,17 @@ fn check_file(path: &Path) -> Vec<String> {
                 _ => violation("missing object key \"host\"".to_string()),
             }
             if let Some(runs) = get(&value, "runs").and_then(Value::as_array) {
-                let mut anchored: std::collections::BTreeMap<(u64, String), bool> =
+                let mut anchored: std::collections::BTreeMap<u64, bool> =
                     std::collections::BTreeMap::new();
                 for (i, run) in runs.iter().enumerate() {
                     let producers = get_num(run, "producers");
                     let shards = get_num(run, "shards");
-                    let channel = get_str(run, "channel").unwrap_or_default().to_string();
-                    match (producers, shards, channel.as_str()) {
-                        (Some(p), Some(s), "ring" | "queue") if p >= 1.0 && s >= 1.0 => {
-                            *anchored.entry((s as u64, channel)).or_default() |= p == 1.0;
+                    match (producers, shards, get_str(run, "channel")) {
+                        (Some(p), Some(s), Some("ring")) if p >= 1.0 && s >= 1.0 => {
+                            *anchored.entry(s as u64).or_default() |= p == 1.0;
                         }
                         _ => violation(format!(
-                            "runs[{i}] needs producers >= 1, shards >= 1, channel ring|queue"
+                            "runs[{i}] needs producers >= 1, shards >= 1, channel ring"
                         )),
                     }
                     match get_num(run, "points_per_sec") {
@@ -339,12 +339,9 @@ fn check_file(path: &Path) -> Vec<String> {
                         _ => violation(format!("runs[{i}] needs a positive points_per_sec")),
                     }
                 }
-                for ((shards, channel), has_anchor) in anchored {
+                for (shards, has_anchor) in anchored {
                     if !has_anchor {
-                        violation(format!(
-                            "cell (shards {shards}, channel {channel}) has no producers=1 \
-                             anchor run"
-                        ));
+                        violation(format!("shards {shards} has no producers=1 anchor run"));
                     }
                 }
             }
@@ -523,11 +520,24 @@ mod tests {
             r#"{"id":"BENCH_scaling","description":"matrix",
                 "host":{"available_parallelism":4,"arch":"x86_64","os":"linux",
                         "simd_dispatch":"scalar"},
-                "runs":[{"producers":2,"shards":2,"channel":"queue","points_per_sec":5.0}]}"#,
+                "runs":[{"producers":2,"shards":2,"channel":"ring","points_per_sec":5.0}]}"#,
         );
         assert!(check_file(&unanchored)
             .iter()
             .any(|v| v.contains("no producers=1 anchor")));
+
+        // The condvar queue channel is gone; a run claiming it is stale.
+        let queue = write(
+            &dir,
+            "BENCH_scaling.json",
+            r#"{"id":"BENCH_scaling","description":"matrix",
+                "host":{"available_parallelism":4,"arch":"x86_64","os":"linux",
+                        "simd_dispatch":"scalar"},
+                "runs":[{"producers":1,"shards":1,"channel":"queue","points_per_sec":5.0}]}"#,
+        );
+        assert!(check_file(&queue)
+            .iter()
+            .any(|v| v.contains("channel ring")));
 
         let bad_rate = write(
             &dir,

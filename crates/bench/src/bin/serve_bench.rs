@@ -4,16 +4,15 @@
 //!    points/second and latency quantiles versus shard count.
 //! 2. **Ingest-bound dispatch comparison** — a deliberately cheap detector
 //!    (CountSketch at `d = 8`) so the submit path itself is the bottleneck,
-//!    crossed over dispatch mode (per-point `submit` vs staged
-//!    `submit_batch_rows`) and channel (lock-free SPSC ring vs the legacy
-//!    condvar queue). This is the leg that justifies the batch-submit API:
-//!    the headline `batch_speedup_ring` ratio is batch-vs-per-point on the
-//!    default ring channel.
+//!    crossed over dispatch mode: per-point `submit` (a batch of one, with
+//!    the worker scoring point by point) vs `submit_batch_rows` over
+//!    chunks with micro-batched scoring. The headline `batch_speedup_ring`
+//!    ratio is batch-vs-per-point.
 //!
 //! Both legs land in `results/BENCH_serve.json`. A third leg — the
 //! **producer-scaling matrix** — crosses producer-lane count
-//! (`submit_batch_rows_parallel`) with shard count and channel on the
-//! ingest-bound configuration and lands separately in
+//! (`submit_batch_rows_parallel`) with shard count on the ingest-bound
+//! configuration and lands separately in
 //! `results/BENCH_scaling.json`. A final instrumented pass re-runs the
 //! 4-shard compute-bound configuration with per-shard `MetricsRecorder`s
 //! and exports the merged per-stage span timings and refresh/snapshot
@@ -33,8 +32,8 @@
 //!
 //! `--smoke` runs no timing sweep and writes no artifacts: it asserts the
 //! engine's bitwise contract — batch submission produces exactly the same
-//! scores as per-point submission, on the ring and on the legacy queue, at
-//! one producer lane and at four — and exits non-zero on any divergence.
+//! scores as per-point submission, at one producer lane and at four — and
+//! exits non-zero on any divergence.
 //! CI runs this on every push.
 //!
 //! Numbers are measured on whatever hardware runs this — every artifact
@@ -88,8 +87,6 @@ struct IngestRun {
     /// or `"batch"` (`submit_batch_rows` over `chunk`-row slices, worker
     /// scoring micro-batches).
     dispatch: String,
-    /// `"ring"` (default SPSC channel) or `"queue"` (`legacy_ingest`).
-    channel: String,
     /// Worker micro-batch ceiling: 1 on the per-point legs,
     /// `max_batch` on the batched legs.
     max_batch: usize,
@@ -107,11 +104,8 @@ struct IngestSection {
     max_batch: usize,
     chunk: usize,
     runs: Vec<IngestRun>,
-    /// Batch vs per-point dispatch, both on the ring, 1 shard.
+    /// Batch vs per-point dispatch, 1 shard.
     batch_speedup_ring: f64,
-    /// New hot path (batch + ring) vs old hot path (per-point + condvar
-    /// queue), 1 shard.
-    batch_ring_vs_per_point_queue: f64,
 }
 
 #[derive(Serialize)]
@@ -133,12 +127,11 @@ struct BenchReport {
 struct ScalingRun {
     producers: usize,
     shards: usize,
-    /// `"ring"` (default SPSC-per-shard) or `"queue"` (`legacy_ingest`).
+    /// Always `"ring"`: the engine's one channel (SPSC ring per shard).
     channel: String,
     seconds: f64,
     points_per_sec: f64,
-    /// Rate relative to the 1-producer run of the same (shards, channel)
-    /// cell — the headline multi-producer scaling number.
+    /// Rate relative to the 1-producer run of the same shard count — the headline multi-producer scaling number.
     speedup_vs_one_producer: f64,
 }
 
@@ -206,27 +199,23 @@ fn run_ingest_with(
     d: usize,
     shards: usize,
     batch: bool,
-    legacy: bool,
     producers: usize,
 ) -> (f64, Vec<u64>) {
-    run_ingest_chunked(points, d, shards, batch, legacy, producers, INGEST_CHUNK)
+    run_ingest_chunked(points, d, shards, batch, producers, INGEST_CHUNK)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_ingest_chunked(
     points: &[Vec<f64>],
     d: usize,
     shards: usize,
     batch: bool,
-    legacy: bool,
     producers: usize,
     chunk_rows: usize,
 ) -> (f64, Vec<u64>) {
     let config = ServeConfig::new(shards)
         .with_queue_capacity(INGEST_RING_CAPACITY)
         .with_max_batch(if batch { INGEST_MAX_BATCH } else { 1 })
-        .with_snapshot_every(8192)
-        .with_legacy_ingest(legacy);
+        .with_snapshot_every(8192);
     let mut engine = ServeEngine::start(config, move |_| build_cheap(d)).expect("engine start");
     let started = Instant::now();
     if batch {
@@ -268,28 +257,20 @@ fn ingest_points(n: usize, d: usize) -> Vec<Vec<f64>> {
     stream.points.iter().map(|p| p.values.clone()).collect()
 }
 
-/// `--smoke`: assert batch-vs-per-point bitwise score equality on both
-/// channels — at one producer lane and at four — then exit without timing
-/// anything or writing artifacts.
+/// `--smoke`: assert batch-vs-per-point bitwise score equality — at one
+/// producer lane and at four — then exit without timing anything or
+/// writing artifacts.
 fn smoke(d: usize) {
     let points = ingest_points(20_000, d);
-    for (legacy, channel) in [(false, "ring"), (true, "queue")] {
-        let (_, per_point) = run_ingest_with(&points, d, 2, false, legacy, 1);
-        let (_, batch) = run_ingest_with(&points, d, 2, true, legacy, 1);
-        let (_, batch_lanes) = run_ingest_with(&points, d, 2, true, legacy, 4);
-        assert_eq!(
-            per_point, batch,
-            "batch dispatch diverged from per-point on the {channel} channel"
-        );
-        assert_eq!(
-            batch, batch_lanes,
-            "4 producer lanes diverged from 1 on the {channel} channel"
-        );
-        println!(
-            "smoke: {channel}: batch (1 and 4 lanes) == per-point bitwise over {} scores",
-            batch.len()
-        );
-    }
+    let (_, per_point) = run_ingest_with(&points, d, 2, false, 1);
+    let (_, batch) = run_ingest_with(&points, d, 2, true, 1);
+    let (_, batch_lanes) = run_ingest_with(&points, d, 2, true, 4);
+    assert_eq!(per_point, batch, "batch dispatch diverged from per-point");
+    assert_eq!(batch, batch_lanes, "4 producer lanes diverged from 1");
+    println!(
+        "smoke: batch (1 and 4 lanes) == per-point bitwise over {} scores",
+        batch.len()
+    );
     println!("smoke: OK");
 }
 
@@ -418,43 +399,38 @@ fn main() {
         runs.push(run);
     }
 
-    // Ingest-bound leg: dispatch mode × channel, cheap detector.
+    // Ingest-bound leg: dispatch mode, cheap detector.
     let ingest_n = if small { 200_000 } else { 1_000_000 };
     let ingest = ingest_points(ingest_n, ingest_d);
     let mut ingest_runs = Vec::new();
     for shards in [1usize, 2] {
-        for (batch, legacy) in [(false, true), (false, false), (true, true), (true, false)] {
-            let (seconds, _) = run_ingest_with(&ingest, ingest_d, shards, batch, legacy, 1);
+        for batch in [false, true] {
+            let (seconds, _) = run_ingest_with(&ingest, ingest_d, shards, batch, 1);
             let run = IngestRun {
                 shards,
                 dispatch: if batch { "batch" } else { "per_point" }.to_string(),
-                channel: if legacy { "queue" } else { "ring" }.to_string(),
                 max_batch: if batch { INGEST_MAX_BATCH } else { 1 },
                 seconds,
                 points_per_sec: ingest_n as f64 / seconds,
             };
             println!(
-                "ingest shards {} {:>9}/{:<5}: {:.2}s — {:.0} points/s",
-                run.shards, run.dispatch, run.channel, run.seconds, run.points_per_sec
+                "ingest shards {} {:>9}: {:.2}s — {:.0} points/s",
+                run.shards, run.dispatch, run.seconds, run.points_per_sec
             );
             ingest_runs.push(run);
         }
     }
-    let rate_of = |dispatch: &str, channel: &str| {
+    let rate_of = |dispatch: &str| {
         ingest_runs
             .iter()
-            .find(|r| r.shards == 1 && r.dispatch == dispatch && r.channel == channel)
+            .find(|r| r.shards == 1 && r.dispatch == dispatch)
             .map(|r| r.points_per_sec)
             .unwrap_or(f64::NAN)
     };
-    let batch_speedup_ring = rate_of("batch", "ring") / rate_of("per_point", "ring");
-    let batch_ring_vs_per_point_queue = rate_of("batch", "ring") / rate_of("per_point", "queue");
-    println!(
-        "ingest: batch vs per-point on ring {batch_speedup_ring:.2}x; \
-         batch+ring vs per-point+queue {batch_ring_vs_per_point_queue:.2}x"
-    );
+    let batch_speedup_ring = rate_of("batch") / rate_of("per_point");
+    println!("ingest: batch vs per-point {batch_speedup_ring:.2}x");
     let ingest_section = IngestSection {
-        description: "dispatch-mode and channel comparison with an ingest-bound \
+        description: "dispatch-mode comparison with an ingest-bound \
                       (deliberately cheap) detector; per_point legs run the \
                       whole pipeline point-at-a-time (max_batch 1), batch legs \
                       fully batched. On a single-core host producer and \
@@ -470,57 +446,43 @@ fn main() {
         chunk: INGEST_CHUNK,
         runs: ingest_runs,
         batch_speedup_ring,
-        batch_ring_vs_per_point_queue,
     };
 
-    // Producer-scaling matrix: producers × shards × channel, batch dispatch
+    // Producer-scaling matrix: producers × shards, batch dispatch
     // throughout. Producer counts above the shard count clamp inside the
     // engine, so skip those cells rather than re-measure the clamped run.
     let mut scaling_runs = Vec::new();
     for shards in [1usize, 2, 4] {
-        for legacy in [false, true] {
-            let channel = if legacy { "queue" } else { "ring" };
-            let mut one_producer_rate = None;
-            for &producers in &producer_counts {
-                if producers > shards {
-                    continue;
-                }
-                let seconds = (0..SCALING_SAMPLES)
-                    .map(|_| {
-                        run_ingest_chunked(
-                            &ingest,
-                            ingest_d,
-                            shards,
-                            true,
-                            legacy,
-                            producers,
-                            SCALING_CHUNK,
-                        )
-                        .0
-                    })
-                    .fold(f64::INFINITY, f64::min);
-                let rate = ingest_n as f64 / seconds;
-                let base = *one_producer_rate.get_or_insert(rate);
-                let run = ScalingRun {
-                    producers,
-                    shards,
-                    channel: channel.to_string(),
-                    seconds,
-                    points_per_sec: rate,
-                    speedup_vs_one_producer: rate / base,
-                };
-                println!(
-                    "scaling {} producers x {} shards on {:>5}: {:.2}s — {:.0} points/s \
-                     ({:.2}x vs 1 producer)",
-                    run.producers,
-                    run.shards,
-                    run.channel,
-                    run.seconds,
-                    run.points_per_sec,
-                    run.speedup_vs_one_producer
-                );
-                scaling_runs.push(run);
+        let mut one_producer_rate = None;
+        for &producers in &producer_counts {
+            if producers > shards {
+                continue;
             }
+            let seconds = (0..SCALING_SAMPLES)
+                .map(|_| {
+                    run_ingest_chunked(&ingest, ingest_d, shards, true, producers, SCALING_CHUNK).0
+                })
+                .fold(f64::INFINITY, f64::min);
+            let rate = ingest_n as f64 / seconds;
+            let base = *one_producer_rate.get_or_insert(rate);
+            let run = ScalingRun {
+                producers,
+                shards,
+                channel: "ring".to_string(),
+                seconds,
+                points_per_sec: rate,
+                speedup_vs_one_producer: rate / base,
+            };
+            println!(
+                "scaling {} producers x {} shards: {:.2}s — {:.0} points/s \
+                 ({:.2}x vs 1 producer)",
+                run.producers,
+                run.shards,
+                run.seconds,
+                run.points_per_sec,
+                run.speedup_vs_one_producer
+            );
+            scaling_runs.push(run);
         }
     }
     let scaling_note = if parallelism <= 1 {
@@ -537,7 +499,7 @@ fn main() {
     let scaling_report = ScalingReport {
         id: "BENCH_scaling".to_string(),
         description: "producer-lane scaling matrix: submit_batch_rows_parallel \
-                      throughput across producers x shards x channel on the \
+                      throughput across producers x shards on the \
                       ingest-bound detector"
             .to_string(),
         n: ingest_n,
@@ -568,7 +530,7 @@ fn main() {
     let report = BenchReport {
         id: "BENCH_serve".to_string(),
         description: "serving-engine throughput and latency vs shard count, plus \
-                      ingest-bound dispatch/channel comparison"
+                      ingest-bound dispatch comparison"
             .to_string(),
         n,
         d,

@@ -50,7 +50,7 @@ const USAGE: &str =
   apply    --model FILE --input FILE [--output FILE] [--quiet]
   pipeline (--input FILE | --dataset NAME [--small]) [--shards N]
            [--producers N] [--queue N]
-           [--on-overload block|drop|shed] [--partition rr|hash]
+           [--on-overload block|drop|shed]
            [--sketch fd|rp|cs|rs] [--k N] [--ell N] [--warmup N]
            [--score rel-proj|proj|leverage|blended] [--snapshot-every N]
            [--max-batch N] [--max-restarts N] [--output FILE]
@@ -70,6 +70,13 @@ const USAGE: &str =
 /// Points scored per batched call in `score`/`apply` — large enough to
 /// amortize the blocked `V_kᵀY` kernel, small enough to stay cache-warm.
 const CLI_BATCH: usize = 512;
+
+/// Rows `pipeline` hands the engine per `submit_batch_rows_parallel` call:
+/// a receive buffer's worth, enough for each producer lane to cover many
+/// ring laps per call while holding only one chunk of row copies at a time.
+/// Scores do not depend on it — a shard's substream is fixed by sequence
+/// numbers, not by how the stream is cut.
+const PIPELINE_CHUNK: usize = 65_536;
 
 /// Persisted artifact of a trained detector: the subspace model plus the
 /// score family it was trained to emit.
@@ -419,7 +426,7 @@ fn cmd_apply(p: &ParsedArgs) -> Result<(), String> {
 /// and optionally dumps scores and the stats JSON artifact.
 fn cmd_pipeline(p: &ParsedArgs) -> Result<(), String> {
     use sketchad_serve::{
-        BackpressurePolicy, PartitionStrategy, ServeConfig, ServeEngine, TelemetryConfig,
+        BackpressurePolicy, BatchOutcome, ServeConfig, ServeEngine, TelemetryConfig,
     };
 
     // Input: a CSV/.rows file or a named builtin dataset.
@@ -480,21 +487,6 @@ fn cmd_pipeline(p: &ParsedArgs) -> Result<(), String> {
     let max_restarts: u32 = p
         .get_parse_or("max-restarts", 2, "integer")
         .map_err(|e| e.to_string())?;
-    let partition = match p.get_or("partition", "rr") {
-        "rr" => PartitionStrategy::RoundRobin,
-        "hash" => {
-            // CSV rows carry no entity key, so keyed routing has nothing to
-            // hash and the engine falls back to round-robin per point.
-            eprintln!(
-                "note: --partition hash routes by per-point keys, which CSV input does not \
-                 carry; unkeyed points are routed round-robin (use the library API's \
-                 submit_keyed for sticky per-entity routing)"
-            );
-            PartitionStrategy::KeyHash
-        }
-        other => return Err(format!("unknown partition {other:?} (rr|hash)")),
-    };
-
     let k: usize = p
         .get_parse_or("k", 10, "positive integer")
         .map_err(|e| e.to_string())?;
@@ -515,7 +507,6 @@ fn cmd_pipeline(p: &ParsedArgs) -> Result<(), String> {
     let mut serve_config = ServeConfig::new(shards)
         .with_queue_capacity(queue)
         .with_backpressure(policy)
-        .with_partition(partition)
         .with_snapshot_every(snapshot_every)
         .with_max_batch(max_batch)
         .with_max_restarts(max_restarts);
@@ -625,16 +616,16 @@ fn cmd_pipeline(p: &ParsedArgs) -> Result<(), String> {
     });
 
     let started = std::time::Instant::now();
-    let batch = if producers > 1 {
-        let rows: Vec<Vec<f64>> = stream.iter().map(|(v, _)| v.to_vec()).collect();
-        engine
+    let mut batch = BatchOutcome::default();
+    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(PIPELINE_CHUNK.min(stream.len()));
+    let mut points = stream.iter().map(|(v, _)| v.to_vec()).peekable();
+    while points.peek().is_some() {
+        rows.clear();
+        rows.extend(points.by_ref().take(PIPELINE_CHUNK));
+        batch += engine
             .submit_batch_rows_parallel(&rows, producers)
-            .map_err(|e| e.to_string())?
-    } else {
-        engine
-            .submit_batch(stream.iter().map(|(v, _)| v.to_vec()))
-            .map_err(|e| e.to_string())?
-    };
+            .map_err(|e| e.to_string())?;
+    }
     let report = engine.finish().map_err(|e| e.to_string())?;
     let elapsed = started.elapsed();
     watch_stop.store(true, std::sync::atomic::Ordering::Relaxed);

@@ -31,14 +31,13 @@ const COUNTERS: [Counter; 9] = [
     Counter::CheckpointsWritten,
 ];
 
-const GAUGES: [Gauge; 7] = [
+const GAUGES: [Gauge; 6] = [
     Gauge::FdErrorBound,
     Gauge::SketchEnergy,
     Gauge::ModelEnergyCaptured,
     Gauge::QueueDepth,
     Gauge::ResidualEnergy,
     Gauge::RingDepth,
-    Gauge::RefreshLag,
 ];
 
 const HISTS: [Hist; 2] = [Hist::SubmitLatency, Hist::RefreshDuration];
@@ -75,7 +74,6 @@ fn gauge_index(gauge: Gauge) -> usize {
         Gauge::QueueDepth => 3,
         Gauge::ResidualEnergy => 4,
         Gauge::RingDepth => 5,
-        Gauge::RefreshLag => 6,
     }
 }
 

@@ -53,9 +53,8 @@ fn main() {
         (reads, last)
     });
 
-    let batch = engine
-        .submit_batch(stream.points.iter().map(|p| p.values.clone()))
-        .expect("submit");
+    let rows: Vec<Vec<f64>> = stream.points.iter().map(|p| p.values.clone()).collect();
+    let batch = engine.submit_batch_rows(&rows).expect("submit");
     let report = engine.finish().expect("clean drain");
     stop.store(true, Ordering::Relaxed);
     let (reads, last_read) = reader.join().expect("reader thread");

@@ -1,5 +1,5 @@
-//! Engine configuration: shard count, queue bounds, backpressure,
-//! partitioning, and durable-state policy.
+//! Engine configuration: shard count, queue bounds, backpressure, and
+//! durable-state policy.
 
 use crate::error::ServeError;
 use sketchad_durable::FsyncPolicy;
@@ -16,23 +16,13 @@ pub enum BackpressurePolicy {
     /// emitted.
     DropNewest,
     /// Admit the new point by evicting the *oldest* queued point, counting
-    /// the eviction in the shard's `shed` counter. Producers never block,
-    /// and under overload the detector keeps seeing the freshest data —
+    /// the eviction in the shard's `shed` counter. Producers never wait for
+    /// scoring (at most for the worker to finish taking a slot it already
+    /// claimed), and under overload the detector keeps seeing the freshest
+    /// data —
     /// the right trade for anomaly detection, where a stale backlog scores
     /// points against a model that has already moved on.
     ShedOldest,
-}
-
-/// How points are assigned to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionStrategy {
-    /// Cycle through shards in submission order. With one shard this makes
-    /// the engine bit-for-bit equivalent to driving the detector directly.
-    RoundRobin,
-    /// Stable FNV-1a hash of the point's key: the same key always lands on
-    /// the same shard, across runs and across machines. Points submitted
-    /// without a key fall back to round-robin.
-    KeyHash,
 }
 
 /// Configuration for [`crate::ServeEngine`].
@@ -44,8 +34,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Full-queue behaviour.
     pub backpressure: BackpressurePolicy,
-    /// Point-to-shard assignment.
-    pub partition: PartitionStrategy,
     /// A shard publishes a fresh model snapshot after every `snapshot_every`
     /// processed points (and once more on shutdown). `0` disables periodic
     /// publication (shutdown still publishes).
@@ -79,35 +67,17 @@ pub struct ServeConfig {
     /// How eagerly WAL appends reach stable storage (see
     /// [`FsyncPolicy`]). Ignored without [`state_dir`](Self::state_dir).
     pub fsync: FsyncPolicy,
-    /// Asynchronous model refresh period in processed points per shard
-    /// (`0`, the default, keeps refresh inline on the ingest thread under
-    /// the detector's own policy). When set, each shard switches its
-    /// detector to external refresh and runs a dedicated refresher thread:
-    /// at every `refresh_every` boundary the worker adopts the previously
-    /// kicked rebuild (blocking if it is still running — determinism
-    /// outranks latency) and kicks a new one from the current sketch,
-    /// warm-started from the live model. Scores stay deterministic because
-    /// adoption happens at exact processed-count boundaries, never at
-    /// thread-timing-dependent moments; they differ from inline-refresh
-    /// scores (the model is adopted one period later than it was computed).
-    pub refresh_every: u64,
-    /// Forces every shard onto the legacy condvar `JobQueue` channel
-    /// instead of the lock-free SPSC ring. A benchmarking knob for
-    /// measuring the ring against the old ingest path; `false` by default.
-    pub legacy_ingest: bool,
 }
 
 impl ServeConfig {
     /// Config with `shards` workers and defaults: queue capacity 1024,
-    /// blocking backpressure, round-robin partitioning, snapshots every
-    /// 256 points, micro-batches of up to 64 queued points, 2 worker
+    /// blocking backpressure, snapshots every 256 points, micro-batches of up to 64 queued points, 2 worker
     /// restarts per shard, 64 retained quarantine rows.
     pub fn new(shards: usize) -> Self {
         Self {
             shards,
             queue_capacity: 1024,
             backpressure: BackpressurePolicy::Block,
-            partition: PartitionStrategy::RoundRobin,
             snapshot_every: 256,
             max_batch: 64,
             max_restarts: 2,
@@ -115,8 +85,6 @@ impl ServeConfig {
             state_dir: None,
             checkpoint_every: 4096,
             fsync: FsyncPolicy::default(),
-            refresh_every: 0,
-            legacy_ingest: false,
         }
     }
 
@@ -131,13 +99,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_backpressure(mut self, policy: BackpressurePolicy) -> Self {
         self.backpressure = policy;
-        self
-    }
-
-    /// Sets the partitioning strategy.
-    #[must_use]
-    pub fn with_partition(mut self, partition: PartitionStrategy) -> Self {
-        self.partition = partition;
         self
     }
 
@@ -193,24 +154,6 @@ impl ServeConfig {
         self
     }
 
-    /// Moves model refresh off the ingest thread: every `every` processed
-    /// points the shard adopts the previous off-thread rebuild and kicks a
-    /// new one (see [`refresh_every`](Self::refresh_every); `0` keeps
-    /// refresh inline).
-    #[must_use]
-    pub fn with_async_refresh(mut self, every: u64) -> Self {
-        self.refresh_every = every;
-        self
-    }
-
-    /// Forces the legacy condvar queue channel instead of the SPSC ring
-    /// (benchmark comparison knob).
-    #[must_use]
-    pub fn with_legacy_ingest(mut self, legacy: bool) -> Self {
-        self.legacy_ingest = legacy;
-        self
-    }
-
     pub(crate) fn validate(&self) -> Result<(), ServeError> {
         if self.shards == 0 {
             return Err(ServeError::InvalidConfig("shards must be >= 1".into()));
@@ -227,18 +170,6 @@ impl ServeConfig {
     }
 }
 
-/// Stable 64-bit FNV-1a — the key-hash partitioner. Deliberately not
-/// `DefaultHasher` (whose output may change across Rust releases): shard
-/// assignment must be reproducible for the determinism tests.
-pub(crate) fn stable_hash(key: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,15 +184,5 @@ mod tests {
         assert!(ServeConfig::new(1).with_max_batch(0).validate().is_err());
         assert!(ServeConfig::new(1).validate().is_ok());
         assert!(ServeConfig::new(1).with_max_batch(1).validate().is_ok());
-    }
-
-    #[test]
-    fn stable_hash_is_stable() {
-        // Pinned values: shard routing must never silently change.
-        assert_eq!(stable_hash(0), stable_hash(0));
-        assert_ne!(stable_hash(1), stable_hash(2));
-        let spread: std::collections::HashSet<u64> =
-            (0..64u64).map(|k| stable_hash(k) % 4).collect();
-        assert!(spread.len() > 1, "hash must spread keys over shards");
     }
 }

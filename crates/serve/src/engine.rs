@@ -1,10 +1,10 @@
 //! The sharded serving engine.
 
-use crate::config::{stable_hash, BackpressurePolicy, PartitionStrategy, ServeConfig};
+use crate::config::{BackpressurePolicy, ServeConfig};
 use crate::error::{panic_message, ServeError};
 use crate::quarantine::Quarantine;
-use crate::queue::{JobQueue, PushError};
-use crate::ring::{DeathWatch, ShardChannel, SpscRing};
+use crate::queue::ShardQueue;
+use crate::ring::{DeathWatch, SpscRing};
 use crate::shard::{run_supervised, Job, ShardShared, WorkerConfig};
 use crate::snapshot::SnapshotScorer;
 use crate::stats::{LatencyHistogram, PipelineStats, ShardStats};
@@ -13,7 +13,8 @@ use sketchad_core::{validate_point, InputViolation, ScoreKind, StreamingDetector
 use sketchad_durable::{self as durable, StateStore};
 use sketchad_obs::{Counter, Event, MetricsRecorder, ObsReport, Recorder, RecorderHandle, Sampler};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::{Relaxed, Release};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -49,6 +50,15 @@ pub struct BatchOutcome {
     pub shed: u64,
 }
 
+impl std::ops::AddAssign for BatchOutcome {
+    fn add_assign(&mut self, other: Self) {
+        self.accepted += other.accepted;
+        self.dropped += other.dropped;
+        self.rejected += other.rejected;
+        self.shed += other.shed;
+    }
+}
+
 impl BatchOutcome {
     /// Every submitted point landed exactly one way.
     pub fn submitted(&self) -> u64 {
@@ -78,7 +88,7 @@ impl PipelineReport {
 }
 
 struct ShardHandle {
-    channel: Arc<ShardChannel>,
+    ring: Arc<SpscRing>,
     join: Option<JoinHandle<crate::shard::ShardOutput>>,
     shared: Arc<ShardShared>,
     /// This shard's metrics recorder; `None` on uninstrumented engines.
@@ -140,8 +150,11 @@ pub struct ServeEngine {
     /// Global submission counter. Atomic (not plain `u64`) so the telemetry
     /// sampler can read it live; submission itself stays single-writer.
     submitted: Arc<AtomicU64>,
+    /// Rows of the batch being submitted right now (0 between batches):
+    /// counted in `submitted` already, possibly not yet in any shard
+    /// counter. The telemetry sampler widens its conservation slack by it.
+    in_flight: Arc<AtomicU64>,
     backpressure: BackpressurePolicy,
-    partition: PartitionStrategy,
     max_batch: usize,
     read_only: bool,
     quarantine: Quarantine,
@@ -289,20 +302,11 @@ impl ServeEngine {
                 }
                 Some(_) => {}
             }
-            // The ring is the default ingest channel; the condvar queue
-            // stays for ShedOldest (sender-side eviction needs shared
-            // access to the buffer) and the legacy-ingest bench knob.
-            let use_ring = !config.legacy_ingest
-                && !matches!(config.backpressure, BackpressurePolicy::ShedOldest);
-            let channel = Arc::new(if use_ring {
-                ShardChannel::Ring(SpscRing::new(config.queue_capacity))
-            } else {
-                ShardChannel::Queue(JobQueue::new(config.queue_capacity))
-            });
+            let ring = Arc::new(SpscRing::new(config.queue_capacity));
             let shared = Arc::new(ShardShared::default());
             prepared.push(PreparedShard {
                 detector,
-                channel,
+                ring,
                 shared,
                 recorder,
                 obs,
@@ -359,7 +363,7 @@ impl ServeEngine {
         for (idx, prep) in prepared.into_iter().enumerate() {
             let PreparedShard {
                 detector,
-                channel,
+                ring,
                 shared,
                 recorder,
                 obs,
@@ -371,7 +375,6 @@ impl ServeEngine {
                 max_batch: config.max_batch,
                 max_restarts: config.max_restarts,
                 checkpoint_every: config.checkpoint_every,
-                refresh_every: config.refresh_every,
             };
             let rebuild = {
                 let factory = Arc::clone(&factory);
@@ -381,16 +384,16 @@ impl ServeEngine {
                     build(idx, obs.clone())
                 }) as crate::shard::DetectorRebuild
             };
-            let worker_channel = Arc::clone(&channel);
+            let worker_ring = Arc::clone(&ring);
             let worker_shared = Arc::clone(&shared);
             let worker_obs = obs.clone();
             let join = std::thread::Builder::new()
                 .name(format!("sketchad-shard-{idx}"))
                 .spawn(move || {
-                    let mut watch = DeathWatch::arm(Arc::clone(&worker_channel));
+                    let mut watch = DeathWatch::arm(Arc::clone(&worker_ring));
                     let output = run_supervised(
                         worker_cfg,
-                        worker_channel,
+                        worker_ring,
                         detector,
                         rebuild,
                         worker_shared,
@@ -402,7 +405,7 @@ impl ServeEngine {
                 })
                 .map_err(|e| ServeError::InvalidConfig(format!("spawn failed: {e}")))?;
             shards.push(ShardHandle {
-                channel,
+                ring,
                 join: Some(join),
                 shared,
                 recorder,
@@ -413,8 +416,8 @@ impl ServeEngine {
             shards,
             dim: dim.expect("validated shards >= 1"),
             submitted: Arc::new(AtomicU64::new(0)),
+            in_flight: Arc::new(AtomicU64::new(0)),
             backpressure: config.backpressure,
-            partition: config.partition,
             max_batch: config.max_batch,
             read_only: false,
             quarantine: Quarantine::new(config.quarantine_capacity),
@@ -455,10 +458,11 @@ impl ServeEngine {
                 .map(|s| s.recorder.as_ref().map(Arc::clone))
                 .collect(),
             submitted: Arc::clone(&self.submitted),
+            in_flight: Arc::clone(&self.in_flight),
             started: Instant::now(),
-            // One in-flight micro-batch per worker, one reserved slot per
-            // shard, one mid-flight submission.
-            slack_limit: (self.shards.len() * (self.max_batch + 1) + 1) as i64,
+            // One in-flight micro-batch per worker and one reserved slot
+            // per shard; the batch being submitted is added per frame.
+            slack_limit: (self.shards.len() * (self.max_batch + 1)) as i64,
         };
         let (sampler, handle) = config.launch(probe)?;
         self.telemetry = Some(sampler);
@@ -499,187 +503,29 @@ impl ServeEngine {
         self.shards[shard].shared.degraded.load(Relaxed)
     }
 
-    fn route(&self, key: Option<u64>) -> usize {
-        let n = self.shards.len() as u64;
-        match (self.partition, key) {
-            (PartitionStrategy::KeyHash, Some(k)) => (stable_hash(k) % n) as usize,
-            // Round-robin, and the keyless fallback under KeyHash.
-            _ => (self.submitted.load(Relaxed) % n) as usize,
-        }
-    }
-
-    /// Submits one point, partitioned by the configured strategy.
+    /// Submits one point: a batch of one through
+    /// [`submit_batch_rows`](Self::submit_batch_rows), so it is routed,
+    /// validated, and accounted exactly like a batched row.
     pub fn submit(&mut self, point: Vec<f64>) -> Result<SubmitOutcome, ServeError> {
-        self.submit_inner(None, point)
+        let violation = validate_point(&point, self.dim).err();
+        let outcome = self.submit_batch_rows(std::slice::from_ref(&point))?;
+        Ok(match violation {
+            Some(violation) => SubmitOutcome::Rejected(violation),
+            None if outcome.accepted > 0 => SubmitOutcome::Accepted,
+            None if outcome.dropped > 0 => SubmitOutcome::Dropped,
+            None => SubmitOutcome::Shed,
+        })
     }
 
-    /// Submits one point with an explicit partition key (used by
-    /// [`PartitionStrategy::KeyHash`]; ignored under round-robin).
-    pub fn submit_keyed(&mut self, key: u64, point: Vec<f64>) -> Result<SubmitOutcome, ServeError> {
-        self.submit_inner(Some(key), point)
-    }
-
-    fn submit_inner(
-        &mut self,
-        key: Option<u64>,
-        point: Vec<f64>,
-    ) -> Result<SubmitOutcome, ServeError> {
-        let shard = self.route(key);
-        let seq = self.submitted.load(Relaxed);
-        // Input hygiene first: a poison row is quarantined whatever the
-        // overload state, so it can never reach (and corrupt) a detector.
-        if let Err(violation) = validate_point(&point, self.dim) {
-            self.submitted.fetch_add(1, Relaxed);
-            let handle = &self.shards[shard];
-            handle.shared.rejected.fetch_add(1, Relaxed);
-            if handle.obs.enabled() {
-                handle.obs.incr(Counter::PointsRejected, 1);
-                handle.obs.event(Event::PointRejected {
-                    shard,
-                    seq,
-                    reason: violation.label().to_string(),
-                });
-            }
-            self.quarantine.push(seq, violation, point);
-            return Ok(SubmitOutcome::Rejected(violation));
-        }
-        // Availability shedding: a read-only engine or a degraded shard
-        // refuses the update but the submission still succeeds — reads stay
-        // up, accounting stays exact.
-        if self.read_only || self.shards[shard].shared.degraded.load(Relaxed) {
-            self.submitted.fetch_add(1, Relaxed);
-            let handle = &self.shards[shard];
-            handle.shared.shed.fetch_add(1, Relaxed);
-            if handle.obs.enabled() {
-                handle.obs.incr(Counter::PointsShed, 1);
-                handle.obs.event(Event::QueueShed { shard, seq });
-            }
-            return Ok(SubmitOutcome::Shed);
-        }
-        let job = Job {
-            seq,
-            point,
-            enqueued: Instant::now(),
-        };
-        // Reserve the depth slot *before* sending: the worker may process
-        // the job and decrement at any moment after the send lands.
-        self.shards[shard].shared.reserve_slot();
-        let outcome = match self.backpressure {
-            BackpressurePolicy::Block => {
-                let handle = &self.shards[shard];
-                // When observing, probe with try_push first so a full queue
-                // is recorded as a QueueBlocked event before the (identical)
-                // blocking push; when not observing this is a plain push.
-                let push_result = if handle.obs.enabled() {
-                    match handle.channel.try_push(job) {
-                        Ok(()) => Ok(()),
-                        Err(PushError::Full(job)) => {
-                            handle.obs.incr(Counter::QueueBlocked, 1);
-                            handle.obs.event(Event::QueueBlocked {
-                                shard,
-                                seq: job.seq,
-                            });
-                            handle.channel.push_block(job)
-                        }
-                        Err(dead) => Err(dead),
-                    }
-                } else {
-                    handle.channel.push_block(job)
-                };
-                match push_result {
-                    Ok(()) => SubmitOutcome::Accepted,
-                    // The worker thread itself is gone (not a contained
-                    // detector panic — those are handled in-thread).
-                    Err(_) => {
-                        self.shards[shard].shared.release_slot();
-                        return Err(self.harvest_dead_shard(shard));
-                    }
-                }
-            }
-            BackpressurePolicy::DropNewest => {
-                let handle = &self.shards[shard];
-                match handle.channel.try_push(job) {
-                    Ok(()) => SubmitOutcome::Accepted,
-                    Err(PushError::Full(job)) => {
-                        handle.shared.release_slot();
-                        handle.shared.dropped.fetch_add(1, Relaxed);
-                        if handle.obs.enabled() {
-                            handle.obs.incr(Counter::QueueDropped, 1);
-                            handle.obs.event(Event::QueueDropped {
-                                shard,
-                                seq: job.seq,
-                            });
-                        }
-                        SubmitOutcome::Dropped
-                    }
-                    Err(PushError::Dead(_)) => {
-                        self.shards[shard].shared.release_slot();
-                        return Err(self.harvest_dead_shard(shard));
-                    }
-                }
-            }
-            BackpressurePolicy::ShedOldest => {
-                let handle = &self.shards[shard];
-                match handle.channel.push_shed_oldest(job) {
-                    Ok(None) => SubmitOutcome::Accepted,
-                    Ok(Some(evicted)) => {
-                        // The new point took the evicted one's slot.
-                        handle.shared.release_slot();
-                        handle.shared.shed.fetch_add(1, Relaxed);
-                        if handle.obs.enabled() {
-                            handle.obs.incr(Counter::PointsShed, 1);
-                            handle.obs.event(Event::QueueShed {
-                                shard,
-                                seq: evicted.seq,
-                            });
-                        }
-                        SubmitOutcome::Accepted
-                    }
-                    Err(_) => {
-                        self.shards[shard].shared.release_slot();
-                        return Err(self.harvest_dead_shard(shard));
-                    }
-                }
-            }
-        };
-        // A dropped point still consumes a sequence number: scores report
-        // the submission index, and round-robin keeps rotating.
-        self.submitted.fetch_add(1, Relaxed);
-        Ok(outcome)
-    }
-
-    /// Submits a batch, aggregating per-outcome counts. Stops at the first
-    /// hard error (a dead worker thread).
+    /// Submits a slice of rows: the engine's one ingest path. Row `j` gets
+    /// sequence `submitted() + j` and goes to shard `seq % shards`; each row
+    /// is validated (refused rows are quarantined) and shed if its shard is
+    /// degraded or the engine read-only, then each shard's accepted rows
+    /// are flushed into its ring as one group.
     ///
-    /// This is the convenience form that loops [`submit`](Self::submit) per
-    /// point; high-throughput callers holding their rows in a slice should
-    /// prefer [`submit_batch_rows`](Self::submit_batch_rows), which routes
-    /// the whole batch with one channel reservation per shard.
-    pub fn submit_batch<I>(&mut self, points: I) -> Result<BatchOutcome, ServeError>
-    where
-        I: IntoIterator<Item = Vec<f64>>,
-    {
-        let mut outcome = BatchOutcome::default();
-        for point in points {
-            match self.submit(point)? {
-                SubmitOutcome::Accepted => outcome.accepted += 1,
-                SubmitOutcome::Dropped => outcome.dropped += 1,
-                SubmitOutcome::Rejected(_) => outcome.rejected += 1,
-                SubmitOutcome::Shed => outcome.shed += 1,
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// Submits a slice of rows through the batched fast path: rows are
-    /// hash-routed into per-shard staging buffers (validation, quarantine,
-    /// and shed accounting run per row, exactly as in per-point
-    /// submission), then each shard's group is flushed with **one channel
-    /// reservation per shard per batch** instead of one push per point.
-    ///
-    /// Every shard sees the same points in the same order as `rows.len()`
-    /// calls to [`submit`](Self::submit) would deliver, so scores are
-    /// bitwise identical to per-point submission:
+    /// A shard's substream depends only on sequence numbers, never on how
+    /// the stream is cut into batches, so scores are bitwise identical to
+    /// the same rows submitted one [`submit`](Self::submit) call at a time:
     ///
     /// ```
     /// use sketchad_core::{DetectorConfig, StreamingDetector};
@@ -710,12 +556,11 @@ impl ServeEngine {
     /// assert_eq!(batched.scores_in_order(), per_point.scores_in_order());
     /// ```
     ///
-    /// Accounting differences from the per-point path, all metrics-only:
-    /// queue-wait latency is measured from one batch-wide timestamp, a
-    /// stalled `Block` flush records a single `queue_blocked` event per
-    /// shard per batch rather than one per blocked point, and the depth
-    /// reservation, high-water update, and degraded-shard check each run
-    /// once per shard per batch instead of once per row.
+    /// Batch size does change some metrics (never scores): queue-wait
+    /// latency is measured from one batch-wide timestamp, a stalled `Block`
+    /// flush records a single `queue_blocked` event per shard per batch,
+    /// and the depth reservation, high-water update, and degraded-shard
+    /// check each run once per shard per batch.
     pub fn submit_batch_rows(&mut self, rows: &[Vec<f64>]) -> Result<BatchOutcome, ServeError> {
         self.submit_batch_rows_parallel(rows, 1)
     }
@@ -773,11 +618,14 @@ impl ServeEngine {
         producers: usize,
     ) -> Result<BatchOutcome, ServeError> {
         let lanes = producers.clamp(1, self.shards.len());
-        let base = self.submitted.fetch_add(rows.len() as u64, Relaxed);
+        // Publish the batch size before the rows count as submitted, and
+        // clear it only once every row is accounted to a shard (Release
+        // pairs with the sampler's Acquire loads).
+        self.in_flight.store(rows.len() as u64, Release);
+        let base = self.submitted.fetch_add(rows.len() as u64, Release);
         // Degradation is checked once per shard per batch instead of once
         // per row: a shard that degrades mid-batch sheds from the next
-        // batch onward, which is the same lag the per-point path has for
-        // points already past its own check.
+        // batch onward (rows already in its ring are shed by the worker).
         let shedding: Vec<bool> = self
             .shards
             .iter()
@@ -812,20 +660,18 @@ impl ServeEngine {
                     .collect()
             })
         };
+        self.in_flight.store(0, Release);
         let mut outcome = BatchOutcome::default();
         let mut quarantined = Vec::new();
         let mut dead = Vec::new();
         for report in reports {
-            outcome.accepted += report.outcome.accepted;
-            outcome.dropped += report.outcome.dropped;
-            outcome.rejected += report.outcome.rejected;
-            outcome.shed += report.outcome.shed;
+            outcome += report.outcome;
             quarantined.extend(report.quarantined);
             dead.extend(report.dead);
         }
         // Lanes quarantined their own shards' rows; re-merging by sequence
-        // restores the per-point path's eviction order under the capacity
-        // bound.
+        // keeps the quarantine's eviction order independent of the lane
+        // count.
         quarantined.sort_by_key(|(seq, _, _)| *seq);
         for (seq, violation, point) in quarantined {
             self.quarantine.push(seq, violation, point);
@@ -841,7 +687,7 @@ impl ServeEngine {
     /// returns it as an error. The error is also remembered so `finish`
     /// re-reports it.
     fn harvest_dead_shard(&mut self, shard: usize) -> ServeError {
-        self.shards[shard].channel.close();
+        self.shards[shard].ring.close();
         let err = match self.shards[shard].join.take() {
             Some(handle) => match handle.join() {
                 Err(payload) => ServeError::WorkerPanicked {
@@ -896,7 +742,7 @@ impl ServeEngine {
             .collect()
     }
 
-    /// Graceful shutdown: closes every queue, lets each worker drain what
+    /// Graceful shutdown: closes every ring, lets each worker drain what
     /// is already enqueued, joins them all, and merges scores and stats.
     ///
     /// Every worker is joined even when an earlier one failed — no thread
@@ -904,9 +750,9 @@ impl ServeEngine {
     /// **not** fail the pipeline; they are reported in the stats. Only a
     /// dead worker *thread* (supervisor failure) returns an error.
     pub fn finish(mut self) -> Result<PipelineReport, ServeError> {
-        // Closing the queues is the drain signal.
+        // Closing the rings is the drain signal.
         for shard in &self.shards {
-            shard.channel.close();
+            shard.ring.close();
         }
         let mut first_error = self.dead.first().cloned();
         let mut scores = Vec::new();
@@ -976,13 +822,13 @@ impl ServeEngine {
     }
 }
 
-/// A shard after phase 1 of startup (detector built, channel and shared
+/// A shard after phase 1 of startup (detector built, ring and shared
 /// state allocated) and before its worker thread spawns. Recovery (phase
 /// 2) mutates the detector in place — possibly on a recovery worker
 /// thread — and phase 3 consumes the lot into a [`ShardHandle`].
 struct PreparedShard {
     detector: Box<dyn StreamingDetector + Send>,
-    channel: Arc<ShardChannel>,
+    ring: Arc<SpscRing>,
     shared: Arc<ShardShared>,
     recorder: Option<Arc<MetricsRecorder>>,
     obs: RecorderHandle,
@@ -1048,7 +894,7 @@ fn recover_shard(
 
 /// Everything a producer lane needs, borrowed from the engine for the
 /// duration of one batch. Shared read-only across lanes; the per-shard
-/// mutable state (channels, atomics, recorders) is already thread-safe and
+/// mutable state (rings, atomics, recorders) is already thread-safe and
 /// partitioned by shard ownership.
 struct LaneInput<'a> {
     shards: &'a [ShardHandle],
@@ -1113,18 +959,16 @@ fn run_lane(input: &LaneInput<'_>, lane: usize, lanes: usize) -> LaneReport {
             continue;
         }
         let handle = &input.shards[shard];
-        // One depth reservation per shard per batch (the per-point path
-        // reserves before each enqueue; the flush below is the enqueue,
-        // so the same reserve-before-send ordering holds).
-        handle.shared.reserve_slots(group.len());
-        let flushed = match input.backpressure {
-            BackpressurePolicy::Block => lane_flush_blocking(handle, shard, group),
-            BackpressurePolicy::DropNewest => {
-                lane_flush_drop_newest(handle, shard, group, &mut report.outcome)
-            }
-            BackpressurePolicy::ShedOldest => lane_flush_shed_oldest(handle, shard, group),
+        let queue = ShardQueue {
+            shard,
+            ring: &handle.ring,
+            shared: &handle.shared,
+            obs: &handle.obs,
         };
-        if flushed.is_err() {
+        if queue
+            .flush(input.backpressure, group, &mut report.outcome)
+            .is_err()
+        {
             report.dead.push(shard);
         }
     }
@@ -1132,8 +976,7 @@ fn run_lane(input: &LaneInput<'_>, lane: usize, lanes: usize) -> LaneReport {
 }
 
 /// Validates, sheds, or stages row `j` of the batch onto its shard's
-/// group. Routing is the same round-robin as per-point submission:
-/// `shard = seq % n_shards` (keyless `KeyHash` falls back to it too).
+/// group. Routing is round-robin by sequence: `shard = seq % n_shards`.
 fn lane_stage_row(
     input: &LaneInput<'_>,
     j: usize,
@@ -1176,110 +1019,6 @@ fn lane_stage_row(
     report.outcome.accepted += 1;
 }
 
-/// Flushes one shard's staged group under `Block`: retry batch pushes,
-/// yielding while the channel is full, until everything is in. `Err` means
-/// the worker thread is dead (reservations already rolled back).
-fn lane_flush_blocking(
-    handle: &ShardHandle,
-    shard: usize,
-    staged: &mut VecDeque<Job>,
-) -> Result<(), ()> {
-    let mut blocked_recorded = false;
-    loop {
-        match handle.channel.try_push_batch(staged) {
-            Ok(_) if staged.is_empty() => return Ok(()),
-            Ok(pushed) => {
-                if pushed == 0 {
-                    if !blocked_recorded && handle.obs.enabled() {
-                        blocked_recorded = true;
-                        handle.obs.incr(Counter::QueueBlocked, 1);
-                        handle.obs.event(Event::QueueBlocked {
-                            shard,
-                            seq: staged.front().expect("non-empty").seq,
-                        });
-                    }
-                    std::thread::yield_now();
-                }
-            }
-            Err(()) => return abort_lane_flush(handle, staged),
-        }
-    }
-}
-
-/// Flushes one shard's staged group under `DropNewest`: one batch push,
-/// everything that did not fit is dropped with exact counts.
-fn lane_flush_drop_newest(
-    handle: &ShardHandle,
-    shard: usize,
-    staged: &mut VecDeque<Job>,
-    outcome: &mut BatchOutcome,
-) -> Result<(), ()> {
-    match handle.channel.try_push_batch(staged) {
-        Ok(_) => {
-            for job in staged.drain(..) {
-                handle.shared.release_slot();
-                handle.shared.dropped.fetch_add(1, Relaxed);
-                if handle.obs.enabled() {
-                    handle.obs.incr(Counter::QueueDropped, 1);
-                    handle.obs.event(Event::QueueDropped {
-                        shard,
-                        seq: job.seq,
-                    });
-                }
-                outcome.accepted -= 1;
-                outcome.dropped += 1;
-            }
-            Ok(())
-        }
-        Err(()) => abort_lane_flush(handle, staged),
-    }
-}
-
-/// Flushes one shard's staged group under `ShedOldest` (always the queue
-/// channel): per-job pushes, evictions counted as shed.
-fn lane_flush_shed_oldest(
-    handle: &ShardHandle,
-    shard: usize,
-    staged: &mut VecDeque<Job>,
-) -> Result<(), ()> {
-    while let Some(job) = staged.pop_front() {
-        match handle.channel.push_shed_oldest(job) {
-            Ok(None) => {}
-            Ok(Some(evicted)) => {
-                // The new point took the evicted one's slot.
-                handle.shared.release_slot();
-                handle.shared.shed.fetch_add(1, Relaxed);
-                if handle.obs.enabled() {
-                    handle.obs.incr(Counter::PointsShed, 1);
-                    handle.obs.event(Event::QueueShed {
-                        shard,
-                        seq: evicted.seq,
-                    });
-                }
-            }
-            Err(_) => {
-                // The in-hand job was already popped from `staged`; roll
-                // its reservation back separately.
-                handle.shared.release_slot();
-                return abort_lane_flush(handle, staged);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// A dead worker thread surfaced mid-flush: roll back the depth
-/// reservations for everything unflushed and return the flush's `Err`.
-/// The caller reports the shard so the engine can join (harvest) the dead
-/// worker once the lanes are back.
-fn abort_lane_flush(handle: &ShardHandle, staged: &mut VecDeque<Job>) -> Result<(), ()> {
-    for _ in 0..staged.len() {
-        handle.shared.release_slot();
-    }
-    staged.clear();
-    Err(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1300,6 +1039,10 @@ mod tests {
         vec![t.sin(), t.cos(), (0.5 * t).sin(), 0.1]
     }
 
+    fn waves(range: std::ops::Range<u64>) -> Vec<Vec<f64>> {
+        range.map(wave).collect()
+    }
+
     #[test]
     fn round_robin_covers_all_shards() {
         let mut engine = ServeEngine::start(ServeConfig::new(3), fd_factory).unwrap();
@@ -1314,24 +1057,6 @@ mod tests {
         // Sequence numbers come back complete and sorted.
         let seqs: Vec<u64> = report.scores.iter().map(|&(q, _)| q).collect();
         assert_eq!(seqs, (0..30).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn key_hash_is_sticky() {
-        let config = ServeConfig::new(4).with_partition(PartitionStrategy::KeyHash);
-        let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-        for round in 0..5 {
-            for key in 0..8u64 {
-                engine.submit_keyed(key, wave(round * 8 + key)).unwrap();
-            }
-        }
-        let report = engine.finish().unwrap();
-        // Every key's 5 submissions land on one shard, so each shard's
-        // processed count is a multiple of 5.
-        for s in &report.stats.shards {
-            assert_eq!(s.processed % 5, 0, "shard {}: {}", s.shard, s.processed);
-        }
-        assert_eq!(report.stats.total_processed, 40);
     }
 
     #[test]
@@ -1424,7 +1149,7 @@ mod tests {
             .with_queue_capacity(1)
             .with_backpressure(BackpressurePolicy::DropNewest);
         let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-        let outcome = engine.submit_batch((0..5_000).map(wave)).unwrap();
+        let outcome = engine.submit_batch_rows(&waves(0..5_000)).unwrap();
         assert_eq!(outcome.submitted(), 5_000);
         let report = engine.finish().unwrap();
         assert_eq!(report.stats.total_processed, outcome.accepted);
@@ -1438,7 +1163,7 @@ mod tests {
             .with_queue_capacity(2)
             .with_backpressure(BackpressurePolicy::ShedOldest);
         let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-        let outcome = engine.submit_batch((0..5_000).map(wave)).unwrap();
+        let outcome = engine.submit_batch_rows(&waves(0..5_000)).unwrap();
         // Every submission is admitted under ShedOldest …
         assert_eq!(outcome.accepted, 5_000);
         assert_eq!(outcome.dropped + outcome.rejected + outcome.shed, 0);
@@ -1462,7 +1187,7 @@ mod tests {
     fn read_only_mode_sheds_updates_but_serves_reads() {
         let config = ServeConfig::new(1).with_snapshot_every(16);
         let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-        engine.submit_batch((0..64).map(wave)).unwrap();
+        engine.submit_batch_rows(&waves(0..64)).unwrap();
         // Wait for a snapshot so the read path has a model to serve.
         let scorer = engine.scorer(0, ScoreKind::ProjectionDistance);
         while scorer.generation() == 0 {
@@ -1476,7 +1201,7 @@ mod tests {
         // Stale-snapshot reads keep working while updates shed.
         assert!(scorer.score(&wave(1_000)).unwrap().is_finite());
         engine.set_read_only(false);
-        engine.submit_batch((96..128).map(wave)).unwrap();
+        engine.submit_batch_rows(&waves(96..128)).unwrap();
         let report = engine.finish().unwrap();
         assert_eq!(report.stats.total_shed, 32);
         assert_eq!(report.stats.total_processed, 96);
@@ -1518,7 +1243,7 @@ mod tests {
             )
         })
         .unwrap();
-        engine.submit_batch((0..200).map(wave)).unwrap();
+        engine.submit_batch_rows(&waves(0..200)).unwrap();
         let report = engine.finish().unwrap();
         assert_eq!(report.stats.total_processed, 200);
 
@@ -1538,7 +1263,7 @@ mod tests {
             snapshots
         );
         // Queue depth was sampled for every drained job, and the ring's own
-        // occupancy gauge alongside it (the default channel is the ring).
+        // occupancy gauge alongside it.
         assert_eq!(obs.gauge("queue_depth").unwrap().samples, 200);
         assert_eq!(obs.gauge("ring_depth").unwrap().samples, 200);
     }
@@ -1569,7 +1294,7 @@ mod tests {
     #[test]
     fn uninstrumented_engine_attaches_no_obs() {
         let mut engine = ServeEngine::start(ServeConfig::new(2), fd_factory).unwrap();
-        engine.submit_batch((0..20).map(wave)).unwrap();
+        engine.submit_batch_rows(&waves(0..20)).unwrap();
         let report = engine.finish().unwrap();
         assert!(report.stats.obs.is_none());
     }
@@ -1592,7 +1317,7 @@ mod tests {
             } else {
                 ServeEngine::start(config, fd_factory).unwrap()
             };
-            engine.submit_batch((0..120).map(wave)).unwrap();
+            engine.submit_batch_rows(&waves(0..120)).unwrap();
             let report = engine.finish().unwrap();
             report
                 .scores_in_order()
@@ -1618,7 +1343,7 @@ mod tests {
             )
         })
         .unwrap();
-        let outcome = engine.submit_batch((0..5_000).map(wave)).unwrap();
+        let outcome = engine.submit_batch_rows(&waves(0..5_000)).unwrap();
         let report = engine.finish().unwrap();
         let obs = report.stats.obs.unwrap();
         assert_eq!(obs.counter("queue_dropped"), outcome.dropped);
@@ -1638,7 +1363,7 @@ mod tests {
                 .with_snapshot_every(8)
                 .with_max_batch(max_batch);
             let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-            engine.submit_batch((0..300).map(wave)).unwrap();
+            engine.submit_batch_rows(&waves(0..300)).unwrap();
             let report = engine.finish().unwrap();
             report
                 .scores_in_order()
@@ -1678,52 +1403,6 @@ mod tests {
                 .collect()
         };
         assert_eq!(run(true), run(false), "batch path diverged");
-    }
-
-    #[test]
-    fn legacy_ingest_matches_ring_scores() {
-        // The condvar queue and the SPSC ring are interchangeable carriers:
-        // same jobs, same order, same scores.
-        let rows: Vec<Vec<f64>> = (0..240).map(wave).collect();
-        let run = |legacy: bool| -> Vec<u64> {
-            let config = ServeConfig::new(2)
-                .with_snapshot_every(8)
-                .with_legacy_ingest(legacy);
-            let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-            engine.submit_batch_rows(&rows).unwrap();
-            let report = engine.finish().unwrap();
-            report
-                .scores_in_order()
-                .iter()
-                .map(|s| s.to_bits())
-                .collect()
-        };
-        assert_eq!(run(false), run(true), "legacy queue scores diverged");
-    }
-
-    #[test]
-    fn async_refresh_is_deterministic_across_batch_sizes() {
-        // Off-thread refresh adopts results only at exact refresh_every
-        // boundaries, so scores must not depend on micro-batch sizing or on
-        // how long the refresher thread takes.
-        let run = |max_batch: usize| -> Vec<u64> {
-            let config = ServeConfig::new(2)
-                .with_snapshot_every(8)
-                .with_async_refresh(32)
-                .with_max_batch(max_batch);
-            let mut engine = ServeEngine::start(config, fd_factory).unwrap();
-            engine.submit_batch((0..300).map(wave)).unwrap();
-            let report = engine.finish().unwrap();
-            report
-                .scores_in_order()
-                .iter()
-                .map(|s| s.to_bits())
-                .collect()
-        };
-        let strict = run(1);
-        assert_eq!(strict.len(), 300);
-        assert_eq!(strict, run(7), "async refresh with max_batch=7 diverged");
-        assert_eq!(strict, run(64), "async refresh with max_batch=64 diverged");
     }
 
     #[test]
@@ -1783,7 +1462,7 @@ mod tests {
         let config = ServeConfig::new(1).with_snapshot_every(8);
         let mut engine = ServeEngine::start(config, fd_factory).unwrap();
         let scorer = engine.scorer(0, ScoreKind::ProjectionDistance);
-        engine.submit_batch((0..64).map(wave)).unwrap();
+        engine.submit_batch_rows(&waves(0..64)).unwrap();
         let report = engine.finish().unwrap();
         assert_eq!(report.stats.total_processed, 64);
         // After drain the final model is published.

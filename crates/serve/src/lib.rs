@@ -1,7 +1,7 @@
 //! # sketchad-serve
 //!
 //! Sharded concurrent serving engine for streaming anomaly detection —
-//! std-only (threads + bounded queues), no external runtime.
+//! std-only (threads + bounded rings), no external runtime.
 //!
 //! ## Write-shard / read-snapshot split
 //!
@@ -10,9 +10,8 @@
 //! scales it two ways at once:
 //!
 //! * **Writes shard.** [`ServeEngine`] partitions arriving points across
-//!   `N` worker shards (round-robin, or stable key-hash so a key's points
-//!   always meet the same model). Each shard owns one detector behind a
-//!   bounded queue with configurable backpressure — [`Block`] never loses a
+//!   `N` worker shards round-robin by sequence number. Each shard owns one
+//!   detector behind a bounded ring with configurable backpressure — [`Block`] never loses a
 //!   point, [`DropNewest`] never blocks the producer and counts what it
 //!   drops, [`ShedOldest`] admits fresh points by evicting stale queued
 //!   ones so the detector tracks the live stream under overload.
@@ -38,7 +37,7 @@
 //!   [`ServeEngine::set_read_only`] flips the whole engine into a mode
 //!   where every update is shed but snapshot reads stay available.
 //!
-//! Lifecycle is explicit: [`ServeEngine::finish`] closes the queues, lets
+//! Lifecycle is explicit: [`ServeEngine::finish`] closes the rings, lets
 //! every worker drain, and returns a [`PipelineReport`] — scores,
 //! [`PipelineStats`] with exact loss accounting
 //! (`scored + dropped + rejected + shed + crash_lost == submitted`), and
@@ -48,18 +47,21 @@
 //!
 //! ## Module map
 //!
-//! * [`config`] — [`ServeConfig`], backpressure and partitioning policies.
-//! * [`engine`] — [`ServeEngine`], submission, shutdown, report assembly.
-//! * `shard` *(private)* — the supervised worker loop owning each detector,
-//!   plus the off-thread model refresher
-//!   ([`ServeConfig::with_async_refresh`]).
-//! * `ring` *(private)* — the lock-free SPSC ingest ring (the default
-//!   channel; seqlock-style per-slot counters, batch push/pop). The one
+//! * [`config`] — [`ServeConfig`] and the backpressure policies.
+//! * [`engine`] — [`ServeEngine`]: one submit path
+//!   ([`ServeEngine::submit_batch_rows_parallel`]; `submit` and
+//!   `submit_batch_rows` are batches of one and one producer lane),
+//!   shutdown, report assembly.
+//! * `queue` *(private)* — per-policy enqueue of a producer lane's staged
+//!   jobs onto one shard's ring, with the depth, drop and shed accounting
+//!   each [`BackpressurePolicy`] owes.
+//! * `shard` *(private)* — the supervised worker loop owning each detector;
+//!   model refresh runs inline under the detector's own policy.
+//! * `ring` *(private)* — the lock-free SPSC ingest ring, the one channel
+//!   for every policy (per-slot sequence counters, batch push/pop, and a
+//!   `head` CAS shared by worker pops and `ShedOldest` evictions). The one
 //!   module in this crate allowed to use `unsafe`; its memory-ordering
 //!   contract is documented in the module and exercised under ASan in CI.
-//! * `queue` *(private)* — the bounded condvar job queue, retained as the
-//!   fallback channel for `ShedOldest` (sender-side eviction) and the
-//!   `legacy_ingest` comparison knob.
 //! * [`quarantine`] — [`Quarantine`] / [`QuarantinedRow`] for refused input.
 //! * [`snapshot`] — [`SnapshotCell`] / [`SnapshotScorer`] read path.
 //! * [`stats`] — [`PipelineStats`], [`LatencyHistogram`], serializable.
@@ -89,7 +91,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod telemetry;
 
-pub use config::{BackpressurePolicy, PartitionStrategy, ServeConfig};
+pub use config::{BackpressurePolicy, ServeConfig};
 pub use engine::{BatchOutcome, PipelineReport, ServeEngine, SubmitOutcome};
 pub use error::ServeError;
 pub use quarantine::{Quarantine, QuarantinedRow};

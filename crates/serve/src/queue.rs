@@ -1,196 +1,143 @@
-//! The bounded job queue between the submit path and a shard worker.
+//! Per-policy enqueue: how a producer lane hands one shard's staged jobs
+//! to that shard's ring under each [`BackpressurePolicy`], and the depth,
+//! drop and shed accounting each policy owes.
 //!
-//! `std::sync::mpsc` almost fits, but two fault-tolerance requirements rule
-//! it out: `ShedOldest` must evict the *oldest queued* job from the sender
-//! side, and jobs already queued must survive a worker panic so the
-//! restarted worker can take over the backlog (an mpsc `Receiver` dies with
-//! the thread that owns it). This is the classic bounded buffer instead —
-//! one mutex, two condvars — with explicit lifecycle flags:
+//! The ring ([`SpscRing`]) only moves jobs; this module decides what a
+//! full ring means:
 //!
-//! * `closed` — set by the engine at shutdown; the worker drains what is
-//!   queued and then sees `None` from [`JobQueue::pop_block`].
-//! * `dead` — set by the worker thread's [`DeathWatch`] guard if the
-//!   supervisor itself dies (it should never: every detector panic is
-//!   caught and handled). A dead queue refuses pushes instead of letting a
-//!   producer block forever on a queue nobody will ever drain.
+//! * `Block` — retry batch pushes, yielding while the ring is full, until
+//!   every job is in. Nothing is lost.
+//! * `DropNewest` — one batch push; whatever the ring hands back is
+//!   dropped and counted.
+//! * `ShedOldest` — per-job evicting pushes; every job is admitted and each
+//!   evicted (older) job is counted as shed.
+//!
+//! Under every policy a dead or closed ring fails the flush instead of
+//! blocking: the unflushed jobs' depth reservations are rolled back and the
+//! caller reports the shard, so the engine can harvest its worker.
 
-use crate::shard::Job;
+use crate::config::BackpressurePolicy;
+use crate::engine::BatchOutcome;
+use crate::ring::SpscRing;
+use crate::shard::{Job, ShardShared};
+use sketchad_obs::{Counter, Event, RecorderHandle};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::atomic::Ordering::Relaxed;
 
-/// Why a push did not enqueue. The job is handed back so `DropNewest` can
-/// count it and error paths can report its sequence number.
-#[derive(Debug)]
-pub(crate) enum PushError {
-    /// The queue is at capacity (non-blocking pushes only).
-    Full(Job),
-    /// The worker died without closing the queue, or the queue was closed;
-    /// enqueuing would be a silent loss or an eternal block. The job rides
-    /// along for symmetry with `Full`; the engine's dead-shard path reports
-    /// the shard error instead of retrying the job.
-    Dead(#[allow(dead_code)] Job),
+/// The submit side of one shard, borrowed for one flush.
+pub(crate) struct ShardQueue<'a> {
+    pub shard: usize,
+    pub ring: &'a SpscRing,
+    pub shared: &'a ShardShared,
+    pub obs: &'a RecorderHandle,
 }
 
-#[derive(Debug)]
-struct Inner {
-    jobs: VecDeque<Job>,
-    closed: bool,
-    dead: bool,
-}
-
-/// Bounded MPSC job queue with sender-side eviction; see the module docs.
-#[derive(Debug)]
-pub(crate) struct JobQueue {
-    inner: Mutex<Inner>,
-    capacity: usize,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-impl JobQueue {
-    pub(crate) fn new(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(Inner {
-                jobs: VecDeque::with_capacity(capacity.min(1024)),
-                closed: false,
-                dead: false,
-            }),
-            capacity,
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
+impl ShardQueue<'_> {
+    /// Reserves depth for every job in `staged`, then flushes them under
+    /// `policy`, leaving `staged` empty. `DropNewest` losses move from
+    /// `outcome.accepted` to `outcome.dropped` (staging counted every job
+    /// as accepted). `Err` means the worker thread is dead; reservations
+    /// for the unflushed jobs are already rolled back.
+    pub(crate) fn flush(
+        &self,
+        policy: BackpressurePolicy,
+        staged: &mut VecDeque<Job>,
+        outcome: &mut BatchOutcome,
+    ) -> Result<(), ()> {
+        // One depth reservation per flush, made before any push: the
+        // worker may drain (and decrement) as soon as a job lands.
+        self.shared.reserve_slots(staged.len());
+        match policy {
+            BackpressurePolicy::Block => self.flush_blocking(staged),
+            BackpressurePolicy::DropNewest => self.flush_drop_newest(staged, outcome),
+            BackpressurePolicy::ShedOldest => self.flush_shed_oldest(staged),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        // The queue's own critical sections cannot panic, so poisoning can
-        // only be inherited noise; proceed with the data either way.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Blocks while the queue is full (`Block` backpressure). Fails only on
-    /// a dead or closed queue.
-    pub(crate) fn push_block(&self, job: Job) -> Result<(), PushError> {
-        let mut inner = self.lock();
+    fn flush_blocking(&self, staged: &mut VecDeque<Job>) -> Result<(), ()> {
+        let mut blocked_recorded = false;
         loop {
-            if inner.dead || inner.closed {
-                return Err(PushError::Dead(job));
+            match self.ring.try_push_batch(staged) {
+                Ok(_) if staged.is_empty() => return Ok(()),
+                Ok(pushed) => {
+                    if pushed == 0 {
+                        if !blocked_recorded && self.obs.enabled() {
+                            blocked_recorded = true;
+                            self.obs.incr(Counter::QueueBlocked, 1);
+                            self.obs.event(Event::QueueBlocked {
+                                shard: self.shard,
+                                seq: staged.front().expect("non-empty").seq,
+                            });
+                        }
+                        std::thread::yield_now();
+                    }
+                }
+                Err(()) => return self.abort(staged),
             }
-            if inner.jobs.len() < self.capacity {
-                break;
-            }
-            inner = self.not_full.wait(inner).unwrap_or_else(|e| e.into_inner());
         }
-        inner.jobs.push_back(job);
-        drop(inner);
-        self.not_empty.notify_one();
+    }
+
+    fn flush_drop_newest(
+        &self,
+        staged: &mut VecDeque<Job>,
+        outcome: &mut BatchOutcome,
+    ) -> Result<(), ()> {
+        match self.ring.try_push_batch(staged) {
+            Ok(_) => {
+                for job in staged.drain(..) {
+                    self.shared.release_slot();
+                    self.shared.dropped.fetch_add(1, Relaxed);
+                    if self.obs.enabled() {
+                        self.obs.incr(Counter::QueueDropped, 1);
+                        self.obs.event(Event::QueueDropped {
+                            shard: self.shard,
+                            seq: job.seq,
+                        });
+                    }
+                    outcome.accepted -= 1;
+                    outcome.dropped += 1;
+                }
+                Ok(())
+            }
+            Err(()) => self.abort(staged),
+        }
+    }
+
+    fn flush_shed_oldest(&self, staged: &mut VecDeque<Job>) -> Result<(), ()> {
+        while let Some(job) = staged.pop_front() {
+            match self.ring.push_evicting(job) {
+                Ok(None) => {}
+                Ok(Some(evicted)) => {
+                    // The new point took the evicted one's slot.
+                    self.shared.release_slot();
+                    self.shared.shed.fetch_add(1, Relaxed);
+                    if self.obs.enabled() {
+                        self.obs.incr(Counter::PointsShed, 1);
+                        self.obs.event(Event::QueueShed {
+                            shard: self.shard,
+                            seq: evicted.seq,
+                        });
+                    }
+                }
+                Err(()) => {
+                    // The in-hand job was already popped from `staged`;
+                    // roll its reservation back separately.
+                    self.shared.release_slot();
+                    return self.abort(staged);
+                }
+            }
+        }
         Ok(())
     }
 
-    /// Non-blocking push (`DropNewest` backpressure, and the full-queue
-    /// probe the observing `Block` path uses to record blocked submissions).
-    pub(crate) fn try_push(&self, job: Job) -> Result<(), PushError> {
-        let mut inner = self.lock();
-        if inner.dead || inner.closed {
-            return Err(PushError::Dead(job));
+    /// A dead worker thread surfaced mid-flush: roll back the depth
+    /// reservations for everything unflushed and fail the flush.
+    fn abort(&self, staged: &mut VecDeque<Job>) -> Result<(), ()> {
+        for _ in 0..staged.len() {
+            self.shared.release_slot();
         }
-        if inner.jobs.len() >= self.capacity {
-            return Err(PushError::Full(job));
-        }
-        inner.jobs.push_back(job);
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Always-admitting push (`ShedOldest` backpressure): when full, the
-    /// oldest queued job is evicted and returned so the caller can account
-    /// for it.
-    pub(crate) fn push_shed_oldest(&self, job: Job) -> Result<Option<Job>, PushError> {
-        let mut inner = self.lock();
-        if inner.dead || inner.closed {
-            return Err(PushError::Dead(job));
-        }
-        let evicted = if inner.jobs.len() >= self.capacity {
-            inner.jobs.pop_front()
-        } else {
-            None
-        };
-        inner.jobs.push_back(job);
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(evicted)
-    }
-
-    /// Blocks for the next job; `None` once the queue is closed *and*
-    /// drained (the graceful-shutdown signal).
-    pub(crate) fn pop_block(&self) -> Option<Job> {
-        let mut inner = self.lock();
-        loop {
-            if let Some(job) = inner.jobs.pop_front() {
-                drop(inner);
-                self.not_full.notify_one();
-                return Some(job);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self
-                .not_empty
-                .wait(inner)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Non-blocking pop; production drains go through
-    /// [`pop_batch`](Self::pop_batch) instead.
-    #[cfg(test)]
-    pub(crate) fn try_pop(&self) -> Option<Job> {
-        let mut inner = self.lock();
-        let job = inner.jobs.pop_front();
-        drop(inner);
-        if job.is_some() {
-            self.not_full.notify_one();
-        }
-        job
-    }
-
-    /// Current queue length.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.lock().jobs.len()
-    }
-
-    /// Non-blocking pop of up to `max` jobs under one lock acquisition,
-    /// appended to `out`; the queue-channel counterpart of the ring's batch
-    /// pop.
-    pub(crate) fn pop_batch(&self, out: &mut Vec<Job>, max: usize) -> usize {
-        let mut inner = self.lock();
-        let n = max.min(inner.jobs.len());
-        out.extend(inner.jobs.drain(..n));
-        drop(inner);
-        if n > 0 {
-            self.not_full.notify_one();
-        }
-        n
-    }
-
-    /// Shutdown signal: the worker drains the backlog, then exits.
-    pub(crate) fn close(&self) {
-        let mut inner = self.lock();
-        inner.closed = true;
-        drop(inner);
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Declares the consumer gone for good; blocked and future pushes fail
-    /// instead of waiting on a drain that will never come.
-    pub(crate) fn mark_dead(&self) {
-        let mut inner = self.lock();
-        inner.dead = true;
-        drop(inner);
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
+        staged.clear();
+        Err(())
     }
 }
 
@@ -198,74 +145,131 @@ impl JobQueue {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
-    fn job(seq: u64) -> Job {
-        Job {
+    fn jobs(seqs: std::ops::Range<u64>) -> VecDeque<Job> {
+        seqs.map(|seq| Job {
             seq,
             point: vec![seq as f64],
             enqueued: Instant::now(),
-        }
+        })
+        .collect()
+    }
+
+    /// Flushes `seqs` onto `ring` under `policy`, counting every job as
+    /// accepted first, as staging does.
+    fn flush(
+        ring: &SpscRing,
+        shared: &ShardShared,
+        policy: BackpressurePolicy,
+        seqs: std::ops::Range<u64>,
+    ) -> (Result<(), ()>, BatchOutcome) {
+        let obs = RecorderHandle::default();
+        let queue = ShardQueue {
+            shard: 0,
+            ring,
+            shared,
+            obs: &obs,
+        };
+        let mut staged = jobs(seqs);
+        let mut outcome = BatchOutcome {
+            accepted: staged.len() as u64,
+            ..BatchOutcome::default()
+        };
+        let result = queue.flush(policy, &mut staged, &mut outcome);
+        assert!(staged.is_empty(), "a flush always empties the staged group");
+        (result, outcome)
+    }
+
+    fn drain(ring: &SpscRing) -> Vec<u64> {
+        let mut out = Vec::new();
+        while ring.pop_batch_block(&mut out, 2) > 0 {}
+        out.iter().map(|j| j.seq).collect()
     }
 
     #[test]
     fn fifo_order_and_close_drain() {
-        let q = JobQueue::new(4);
-        for s in 0..3 {
-            q.push_block(job(s)).ok().unwrap();
-        }
-        q.close();
-        assert_eq!(q.pop_block().unwrap().seq, 0);
-        assert_eq!(q.pop_block().unwrap().seq, 1);
-        assert_eq!(q.pop_block().unwrap().seq, 2);
-        assert!(q.pop_block().is_none(), "closed and drained");
+        let ring = SpscRing::new(4);
+        let shared = ShardShared::default();
+        let (result, outcome) = flush(&ring, &shared, BackpressurePolicy::Block, 0..3);
+        assert!(result.is_ok());
+        assert_eq!(outcome.accepted, 3);
+        assert_eq!(shared.depth.load(Relaxed), 3);
+        ring.close();
+        assert_eq!(drain(&ring), vec![0, 1, 2], "closed and drained in order");
+        // A closed ring refuses, and the refused job's reservation is rolled
+        // back (the 3 above are still counted: only the worker decrements).
+        let (result, _) = flush(&ring, &shared, BackpressurePolicy::Block, 3..4);
+        assert!(result.is_err());
+        assert_eq!(shared.depth.load(Relaxed), 3);
     }
 
     #[test]
     fn try_push_full_hands_job_back() {
-        let q = JobQueue::new(1);
-        q.try_push(job(0)).ok().unwrap();
-        match q.try_push(job(1)) {
-            Err(PushError::Full(j)) => assert_eq!(j.seq, 1),
-            _ => panic!("expected Full"),
-        }
-    }
-
-    #[test]
-    fn shed_oldest_evicts_front() {
-        let q = JobQueue::new(2);
-        assert!(q.push_shed_oldest(job(0)).unwrap().is_none());
-        assert!(q.push_shed_oldest(job(1)).unwrap().is_none());
-        let evicted = q.push_shed_oldest(job(2)).unwrap().unwrap();
-        assert_eq!(evicted.seq, 0, "oldest job is the one shed");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.try_pop().unwrap().seq, 1);
-        assert_eq!(q.try_pop().unwrap().seq, 2);
+        // The ring hands the job that does not fit back; `DropNewest`
+        // counts it as dropped instead of losing it silently.
+        let ring = SpscRing::new(2);
+        let shared = ShardShared::default();
+        let (result, outcome) = flush(&ring, &shared, BackpressurePolicy::DropNewest, 0..3);
+        assert!(result.is_ok());
+        assert_eq!((outcome.accepted, outcome.dropped), (2, 1));
+        assert_eq!(shared.dropped.load(Relaxed), 1);
+        assert_eq!(shared.depth.load(Relaxed), 2);
+        ring.close();
+        assert_eq!(
+            drain(&ring),
+            vec![0, 1],
+            "the newest job is the one dropped"
+        );
     }
 
     #[test]
     fn dead_queue_refuses_pushes_and_wakes_blocked_producer() {
-        let q = Arc::new(JobQueue::new(1));
-        q.push_block(job(0)).ok().unwrap();
-        let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || q2.push_block(job(1)).is_err());
-        // Give the producer a moment to block on the full queue, then kill
+        let ring = Arc::new(SpscRing::new(2));
+        let shared = Arc::new(ShardShared::default());
+        assert!(flush(&ring, &shared, BackpressurePolicy::Block, 0..2)
+            .0
+            .is_ok());
+        let (ring2, shared2) = (Arc::clone(&ring), Arc::clone(&shared));
+        let producer = std::thread::spawn(move || {
+            flush(&ring2, &shared2, BackpressurePolicy::Block, 2..3)
+                .0
+                .is_err()
+        });
+        // Give the producer a moment to block on the full ring, then kill
         // the (never-started) consumer side.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.mark_dead();
-        assert!(producer.join().unwrap(), "blocked push must fail, not hang");
-        assert!(matches!(q.try_push(job(2)), Err(PushError::Dead(_))));
+        std::thread::sleep(Duration::from_millis(20));
+        ring.mark_dead();
+        assert!(
+            producer.join().unwrap(),
+            "blocked flush must fail, not hang"
+        );
+        assert_eq!(shared.depth.load(Relaxed), 2, "its reservation rolled back");
+        for policy in [
+            BackpressurePolicy::DropNewest,
+            BackpressurePolicy::ShedOldest,
+        ] {
+            assert!(flush(&ring, &shared, policy, 3..5).0.is_err());
+            assert_eq!(shared.depth.load(Relaxed), 2);
+        }
+        assert_eq!(shared.dropped.load(Relaxed), 0);
+        assert_eq!(shared.shed.load(Relaxed), 0);
     }
 
     #[test]
     fn queued_jobs_survive_for_a_new_consumer() {
-        // The restart story: jobs enqueued before a worker panic are still
-        // there for whoever picks the queue back up.
-        let q = JobQueue::new(8);
-        q.push_block(job(7)).ok().unwrap();
-        q.push_block(job(8)).ok().unwrap();
-        // (No consumer existed yet; a restarted one simply pops.)
-        assert_eq!(q.pop_block().unwrap().seq, 7);
-        assert_eq!(q.pop_block().unwrap().seq, 8);
+        // Jobs flushed before any consumer runs stay queued for whichever
+        // thread starts draining; `ShedOldest` keeps the freshest of them.
+        let ring = Arc::new(SpscRing::new(4));
+        let shared = ShardShared::default();
+        let (result, outcome) = flush(&ring, &shared, BackpressurePolicy::ShedOldest, 0..6);
+        assert!(result.is_ok());
+        assert_eq!(outcome.accepted, 6, "every submission is admitted");
+        assert_eq!(shared.shed.load(Relaxed), 2);
+        assert_eq!(shared.depth.load(Relaxed), 4);
+        ring.close();
+        let ring2 = Arc::clone(&ring);
+        let consumer = std::thread::spawn(move || drain(&ring2));
+        assert_eq!(consumer.join().unwrap(), vec![2, 3, 4, 5]);
     }
 }

@@ -1,22 +1,10 @@
-//! The lock-free fast path between the submit side and a shard worker: a
-//! bounded single-producer/single-consumer ring with per-slot sequence
-//! counters, plus the [`ShardChannel`] façade that lets the engine fall
-//! back to the condvar [`JobQueue`] where sender-side eviction is needed.
+//! The channel between the submit side and a shard worker: a bounded,
+//! lock-free single-producer/single-consumer ring with per-slot sequence
+//! counters. Every backpressure policy runs on it.
 //!
-//! ## Why a second channel
-//!
-//! [`JobQueue`] (one mutex, two condvars) is correct for every backpressure
-//! policy, but its hot path takes a lock per job on both sides and wakes
-//! the peer through a condvar. At millions of points per second those two
-//! costs dominate the submit path. The ring replaces them with two atomic
-//! operations per slot and no syscalls in the common case; waiting sides
-//! spin briefly, then yield, then park on a timeout — no wakeup protocol,
-//! so neither side ever takes a lock.
-//!
-//! The queue stays for two cases: `ShedOldest` backpressure (evicting the
-//! *oldest queued* job from the sender side needs shared access to the
-//! buffer interior, which the SPSC discipline forbids) and the
-//! `legacy_ingest` bench knob that measures the old path for comparison.
+//! Each side does two atomic operations per slot and no syscalls in the
+//! common case; waiting sides spin briefly, then yield, then park on a
+//! timeout — no wakeup protocol, so neither side ever takes a lock.
 //!
 //! ## Memory-ordering contract
 //!
@@ -24,30 +12,41 @@
 //! (capacity is a power of two, ≥ 2). Each slot carries a sequence counter
 //! `seq` encoding its lap state:
 //!
-//! * `seq == pos`       — free: the producer may claim it for position `pos`.
-//! * `seq == pos + 1`   — full: the job pushed at `pos` is visible to the
-//!   consumer.
-//! * consuming stores `seq = pos + capacity`, re-arming the slot for the
-//!   producer's next lap.
+//! * `seq == pos`       — free: the producer may write it for position `pos`.
+//! * `seq == pos + 1`   — full: the job pushed at `pos` is visible.
+//! * taking the job out stores `seq = pos + capacity`, re-arming the slot
+//!   for the producer's next lap.
 //!
-//! The producer claims with an `Acquire` load of `seq` (so the previous
-//! lap's consume — including the payload move-out — happened-before the new
-//! write), writes the payload, then publishes with a `Release` store of
-//! `pos + 1`. The consumer mirrors it: `Acquire` load sees the payload,
-//! move-out, `Release` store of `pos + capacity`. The `head`/`tail` cursors
-//! are each written by exactly one side; the consumer's `head` store is
-//! `Release` and the producer's batch-reservation `head` load is `Acquire`,
-//! so a reservation of `capacity − (tail − head)` slots proves every slot in
-//! the claimed range finished its previous lap (a stale `head` only
-//! *under*-estimates free space, never over-claims).
+//! The producer writes a slot only after an `Acquire` load of `seq == pos`
+//! (so the previous lap's move-out happened-before the new write), then
+//! publishes with a `Release` store of `pos + 1`. It never trusts the
+//! `head` cursor for free space: every slot write checks the slot's own
+//! counter.
 //!
-//! Lifecycle mirrors [`JobQueue`]: `closed` means drain-and-exit for the
-//! consumer and refuse for the producer; `dead` (set by [`DeathWatch`] if
-//! the worker thread dies) makes pushes fail instead of spinning forever.
+//! ## Two takers, one winner
+//!
+//! Jobs leave the ring from the head in two ways: the worker pops them, and
+//! under `ShedOldest` the producer evicts the oldest queued job to admit a
+//! new one. Both take positions by advancing `head` with a compare-and-swap
+//! after seeing `seq == pos + 1` on every slot they claim. Whichever side's
+//! CAS wins a position owns that slot's payload: it moves the job out and
+//! re-arms the slot with a `Release` store of `pos + capacity`. The loser
+//! touches nothing and re-reads `head`. `head` only grows, so a CAS can
+//! never succeed on a stale value.
+//!
+//! The producer evicts only when the ring holds `capacity` queued jobs
+//! (`head == tail − capacity`), and the evicted position is exactly the
+//! one the new job needs, so each eviction admits exactly one job and the
+//! newest job is never the one evicted. When the slot it needs is instead
+//! mid-release by the worker (claimed, not yet re-armed), the producer
+//! waits for the re-arm rather than evicting a second job.
+//!
+//! Lifecycle: `closed` means drain-and-exit for the consumer and refuse for
+//! the producer; `dead` (set by [`DeathWatch`] if the worker thread dies)
+//! makes pushes fail instead of spinning forever.
 
 #![allow(unsafe_code)]
 
-use crate::queue::{JobQueue, PushError};
 use crate::shard::Job;
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -72,36 +71,31 @@ struct Slot {
 ///
 /// At most one thread pushes at a time and at most one thread pops at a
 /// time (the shard's worker thread; a restarted worker is the *same*
-/// thread, so the discipline survives panics). Two engine paths satisfy
-/// the producer side:
-///
-/// * the `&mut self` submit methods on `ServeEngine`, which serialize all
-///   producers through one exclusive borrow;
-/// * `submit_batch_rows_parallel`'s producer lanes, which partition shards
-///   by ownership — lane `p` of `P` is the unique pusher for every shard
-///   `s` with `s % P == p`, so each ring still sees exactly one producer
-///   thread for the whole scoped region. Lanes are joined (scope exit)
-///   before any other path may push again, and the join's happens-before
-///   edge hands the producer cursor to the next pusher.
+/// thread, so the discipline survives panics). The producer side is
+/// `submit_batch_rows_parallel`'s producer lanes, which partition shards by
+/// ownership — lane `p` of `P` is the unique pusher for every shard `s`
+/// with `s % P == p`. Lanes are joined (scope exit) before the next batch
+/// may push, and the join's happens-before edge hands the producer cursor
+/// to the next pusher.
 ///
 /// `close` / `mark_dead` / `len` are safe from any thread.
 pub(crate) struct SpscRing {
     slots: Box<[Slot]>,
     mask: u64,
     capacity: u64,
-    /// Producer cursor: the next position a push claims.
+    /// Producer cursor: the next position a push writes.
     tail: CachePadded<AtomicU64>,
-    /// Consumer cursor: the next position a pop reads.
+    /// The oldest position still queued; advanced by CAS (see module docs).
     head: CachePadded<AtomicU64>,
     closed: AtomicBool,
     dead: AtomicBool,
 }
 
 // SAFETY: the UnsafeCell payload is only touched under the slot-sequence
-// protocol above — a slot is written only while `seq == pos` (excluding the
-// consumer, which waits for `pos + 1`) and read only while `seq == pos + 1`
-// (excluding the producer, which waits for the next lap's `pos`). The
-// Acquire/Release pairs on `seq` order the payload accesses.
+// protocol above — a slot is written only by the producer while
+// `seq == pos`, and read only by the winner of the `head` CAS for `pos`
+// after it saw `seq == pos + 1`. The Acquire/Release pairs on `seq` order
+// the payload accesses.
 unsafe impl Send for SpscRing {}
 unsafe impl Sync for SpscRing {}
 
@@ -151,123 +145,140 @@ impl SpscRing {
         }
     }
 
-    /// Non-blocking push (producer side only).
-    pub(crate) fn try_push(&self, job: Job) -> Result<(), PushError> {
-        if self.dead.load(Ordering::Acquire) || self.closed.load(Ordering::Acquire) {
-            return Err(PushError::Dead(job));
-        }
-        let pos = self.tail.0.load(Ordering::Relaxed);
-        let slot = &self.slots[(pos & self.mask) as usize];
+    fn slot(&self, pos: u64) -> &Slot {
+        &self.slots[(pos & self.mask) as usize]
+    }
+
+    /// Dead or closed: pushing would be a silent loss or an eternal wait.
+    fn refuses(&self) -> bool {
+        self.dead.load(Ordering::Acquire) || self.closed.load(Ordering::Acquire)
+    }
+
+    /// Writes `job` at position `pos` if that slot finished its previous
+    /// lap; hands the job back otherwise (producer side only).
+    fn write(&self, pos: u64, job: Job) -> Result<(), Job> {
+        let slot = self.slot(pos);
         if slot.seq.load(Ordering::Acquire) != pos {
-            return Err(PushError::Full(job));
+            return Err(job);
         }
-        // SAFETY: `seq == pos` means the slot finished its previous lap
-        // (Acquire above pairs with the consumer's Release), and only this
-        // producer can claim position `pos`.
+        // SAFETY: `seq == pos` means the slot's previous job was moved out
+        // (Acquire pairs with the taker's Release re-arm), and only this
+        // producer writes position `pos`.
         unsafe { (*slot.value.get()).write(job) };
         slot.seq.store(pos + 1, Ordering::Release);
-        self.tail.0.store(pos + 1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Blocking push (`Block` backpressure): spins/parks while full, fails
-    /// only on a dead or closed ring.
-    pub(crate) fn push_block(&self, mut job: Job) -> Result<(), PushError> {
-        let mut backoff = Backoff::new();
-        loop {
-            match self.try_push(job) {
-                Ok(()) => return Ok(()),
-                Err(PushError::Full(j)) => {
-                    job = j;
-                    backoff.snooze();
-                }
-                Err(dead) => return Err(dead),
-            }
+    /// Claims `n` positions from `head` (each already seen full) with one
+    /// CAS, and on success moves their jobs into `sink` and re-arms their
+    /// slots. `false` means the other taker moved `head` first.
+    fn take(&self, head: u64, n: u64, mut sink: impl FnMut(Job)) -> bool {
+        if self
+            .head
+            .0
+            .compare_exchange(head, head + n, Ordering::AcqRel, Ordering::Relaxed)
+            .is_err()
+        {
+            return false;
         }
+        for pos in head..head + n {
+            let slot = self.slot(pos);
+            // SAFETY: the caller saw `seq == pos + 1` (Acquire, pairing with
+            // the producer's publish), and winning the CAS makes this thread
+            // the only taker of `pos`; the producer cannot rewrite the slot
+            // before the re-arm below.
+            sink(unsafe { (*slot.value.get()).assume_init_read() });
+            slot.seq.store(pos + self.capacity, Ordering::Release);
+        }
+        true
     }
 
-    /// One reservation per call: claims `min(jobs.len(), free)` contiguous
-    /// slots and moves that many jobs from the front of `jobs` into them.
-    /// Returns the number pushed (0 when full); `Err` on a dead or closed
-    /// ring with `jobs` untouched.
+    /// Moves as many jobs as currently fit from the front of `jobs` into
+    /// consecutive slots, returning the number pushed (0 when full). `Err`
+    /// on a dead or closed ring, with `jobs` untouched.
     pub(crate) fn try_push_batch(&self, jobs: &mut VecDeque<Job>) -> Result<u64, ()> {
-        if self.dead.load(Ordering::Acquire) || self.closed.load(Ordering::Acquire) {
+        if self.refuses() {
             return Err(());
         }
         let tail = self.tail.0.load(Ordering::Relaxed);
-        // Acquire pairs with the consumer's Release store of `head`: every
-        // slot the reservation covers observably finished its previous lap.
-        // The subtraction saturates because a stale `head` can lag by more
-        // than a full lap: `pop_batch` re-arms slots (seq stores) before its
-        // single deferred `head` store, and `try_push` admits into re-armed
-        // slots on seq alone, so `tail − head` can legitimately exceed
-        // `capacity` here. Saturating to zero free slots just makes the
-        // caller retry after the cursor store lands.
-        let head = self.head.0.load(Ordering::Acquire);
-        let free = self.capacity.saturating_sub(tail - head);
-        let n = free.min(jobs.len() as u64);
-        for i in 0..n {
-            let pos = tail + i;
-            let slot = &self.slots[(pos & self.mask) as usize];
-            debug_assert_eq!(slot.seq.load(Ordering::Acquire), pos);
-            let job = jobs.pop_front().expect("n <= jobs.len()");
-            // SAFETY: `pos < head + capacity` proves the previous lap was
-            // consumed, and the head Acquire above ordered that consume
-            // before this write.
-            unsafe { (*slot.value.get()).write(job) };
-            // Publish in position order — the consumer reads sequentially.
-            slot.seq.store(pos + 1, Ordering::Release);
+        let mut n = 0;
+        // Publish in position order — the consumer reads sequentially.
+        while let Some(job) = jobs.pop_front() {
+            if let Err(job) = self.write(tail + n, job) {
+                jobs.push_front(job);
+                break;
+            }
+            n += 1;
         }
         self.tail.0.store(tail + n, Ordering::Relaxed);
         Ok(n)
     }
 
-    /// Non-blocking pop (consumer side only).
-    pub(crate) fn try_pop(&self) -> Option<Job> {
-        let pos = self.head.0.load(Ordering::Relaxed);
-        let slot = &self.slots[(pos & self.mask) as usize];
-        if slot.seq.load(Ordering::Acquire) != pos + 1 {
-            return None;
+    /// Always-admitting push (`ShedOldest` backpressure): when the ring is
+    /// full, evicts the oldest queued job and returns it so the caller can
+    /// count it. Waits only while the worker is mid-release of the slot the
+    /// job needs. `Err` on a dead or closed ring.
+    pub(crate) fn push_evicting(&self, mut job: Job) -> Result<Option<Job>, ()> {
+        if self.refuses() {
+            return Err(());
         }
-        // SAFETY: `seq == pos + 1` publishes the payload (Acquire pairs
-        // with the producer's Release), and only this consumer reads `pos`.
-        let job = unsafe { (*slot.value.get()).assume_init_read() };
-        slot.seq.store(pos + self.capacity, Ordering::Release);
-        self.head.0.store(pos + 1, Ordering::Release);
-        Some(job)
-    }
-
-    /// Pops up to `max` already-queued jobs into `out` (appending), one
-    /// cursor update for the whole run. Returns the number popped.
-    pub(crate) fn pop_batch(&self, out: &mut Vec<Job>, max: usize) -> usize {
-        let head = self.head.0.load(Ordering::Relaxed);
-        let mut n = 0u64;
-        while (n as usize) < max {
-            let pos = head + n;
-            let slot = &self.slots[(pos & self.mask) as usize];
-            if slot.seq.load(Ordering::Acquire) != pos + 1 {
-                break;
-            }
-            // SAFETY: as in `try_pop`.
-            out.push(unsafe { (*slot.value.get()).assume_init_read() });
-            slot.seq.store(pos + self.capacity, Ordering::Release);
-            n += 1;
-        }
-        self.head.0.store(head + n, Ordering::Release);
-        n as usize
-    }
-
-    /// Blocking pop; `None` once the ring is closed *and* drained (the
-    /// graceful-shutdown signal, mirroring [`JobQueue::pop_block`]).
-    pub(crate) fn pop_block(&self) -> Option<Job> {
+        let tail = self.tail.0.load(Ordering::Relaxed);
+        let mut evicted = None;
         let mut backoff = Backoff::new();
         loop {
-            if let Some(job) = self.try_pop() {
-                return Some(job);
+            match self.write(tail, job) {
+                Ok(()) => {
+                    self.tail.0.store(tail + 1, Ordering::Relaxed);
+                    return Ok(evicted);
+                }
+                Err(j) => job = j,
+            }
+            // A failed write means position `tail − capacity` is still in
+            // the ring; it is the oldest job exactly when it is at the head.
+            let oldest = tail - self.capacity;
+            let won = evicted.is_none()
+                && self.slot(oldest).seq.load(Ordering::Acquire) == oldest + 1
+                && self.take(oldest, 1, |j| evicted = Some(j));
+            if !won {
+                if self.refuses() {
+                    return Err(());
+                }
+                backoff.snooze();
+            }
+        }
+    }
+
+    /// Pops up to `max` already-queued jobs into `out` (appending) under a
+    /// single `head` claim. Returns the number popped.
+    pub(crate) fn pop_batch(&self, out: &mut Vec<Job>, max: usize) -> usize {
+        loop {
+            let head = self.head.0.load(Ordering::Acquire);
+            let mut n = 0u64;
+            while (n as usize) < max
+                && self.slot(head + n).seq.load(Ordering::Acquire) == head + n + 1
+            {
+                n += 1;
+            }
+            if n == 0 || self.take(head, n, |j| out.push(j)) {
+                return n as usize;
+            }
+            // An eviction moved `head` between the scan and the claim.
+        }
+    }
+
+    /// Blocking [`pop_batch`](Self::pop_batch): waits for at least one job;
+    /// 0 once the ring is closed *and* drained (the graceful-shutdown
+    /// signal).
+    pub(crate) fn pop_batch_block(&self, out: &mut Vec<Job>, max: usize) -> usize {
+        let mut backoff = Backoff::new();
+        loop {
+            let n = self.pop_batch(out, max);
+            if n > 0 {
+                return n;
             }
             if self.closed.load(Ordering::Acquire) {
                 // Re-check once: a push may have landed just before close.
-                return self.try_pop();
+                return self.pop_batch(out, max);
             }
             backoff.snooze();
         }
@@ -280,7 +291,7 @@ impl SpscRing {
         tail.saturating_sub(head) as usize
     }
 
-    /// Shutdown signal: the consumer drains the backlog, then sees `None`.
+    /// Shutdown signal: the consumer drains the backlog, then sees 0.
     pub(crate) fn close(&self) {
         self.closed.store(true, Ordering::Release);
     }
@@ -309,126 +320,21 @@ impl Drop for SpscRing {
     }
 }
 
-/// The channel between the engine's submit path and one shard worker:
-/// either the lock-free [`SpscRing`] (the default) or the condvar
-/// [`JobQueue`] fallback (`ShedOldest` backpressure, `legacy_ingest`).
-pub(crate) enum ShardChannel {
-    /// Lock-free fast path (`Block` / `DropNewest` backpressure).
-    Ring(SpscRing),
-    /// Condvar fallback: sender-side eviction and the legacy bench knob.
-    Queue(JobQueue),
-}
-
-impl ShardChannel {
-    pub(crate) fn push_block(&self, job: Job) -> Result<(), PushError> {
-        match self {
-            Self::Ring(r) => r.push_block(job),
-            Self::Queue(q) => q.push_block(job),
-        }
-    }
-
-    pub(crate) fn try_push(&self, job: Job) -> Result<(), PushError> {
-        match self {
-            Self::Ring(r) => r.try_push(job),
-            Self::Queue(q) => q.try_push(job),
-        }
-    }
-
-    /// Moves as many jobs as currently fit from the front of `jobs` into
-    /// the channel — one slot reservation on the ring, per-job pushes on
-    /// the queue — returning the number pushed. `Err` means the channel is
-    /// dead or closed (unpushed jobs stay in `jobs` for rollback).
-    pub(crate) fn try_push_batch(&self, jobs: &mut VecDeque<Job>) -> Result<u64, ()> {
-        match self {
-            Self::Ring(r) => r.try_push_batch(jobs),
-            Self::Queue(q) => {
-                let mut n = 0;
-                while let Some(job) = jobs.pop_front() {
-                    match q.try_push(job) {
-                        Ok(()) => n += 1,
-                        Err(PushError::Full(job)) => {
-                            jobs.push_front(job);
-                            break;
-                        }
-                        Err(PushError::Dead(job)) => {
-                            jobs.push_front(job);
-                            return Err(());
-                        }
-                    }
-                }
-                Ok(n)
-            }
-        }
-    }
-
-    pub(crate) fn push_shed_oldest(&self, job: Job) -> Result<Option<Job>, PushError> {
-        match self {
-            // Sender-side eviction needs shared access to the buffer
-            // interior; the engine always pairs ShedOldest with the queue.
-            Self::Ring(_) => unreachable!("ShedOldest always runs on the queue channel"),
-            Self::Queue(q) => q.push_shed_oldest(job),
-        }
-    }
-
-    pub(crate) fn pop_block(&self) -> Option<Job> {
-        match self {
-            Self::Ring(r) => r.pop_block(),
-            Self::Queue(q) => q.pop_block(),
-        }
-    }
-
-    /// Batch pop into `out` (appending), up to `max` jobs; the ring does it
-    /// under one cursor update, the queue under one lock acquisition.
-    pub(crate) fn pop_batch(&self, out: &mut Vec<Job>, max: usize) -> usize {
-        match self {
-            Self::Ring(r) => r.pop_batch(out, max),
-            Self::Queue(q) => q.pop_batch(out, max),
-        }
-    }
-
-    /// Ring occupancy when this channel is the ring (`None` on the queue
-    /// fallback) — feeds the `ring_depth` gauge at drain time.
-    pub(crate) fn ring_depth(&self) -> Option<usize> {
-        match self {
-            Self::Ring(r) => Some(r.len()),
-            Self::Queue(_) => None,
-        }
-    }
-
-    pub(crate) fn close(&self) {
-        match self {
-            Self::Ring(r) => r.close(),
-            Self::Queue(q) => q.close(),
-        }
-    }
-
-    pub(crate) fn mark_dead(&self) {
-        match self {
-            Self::Ring(r) => r.mark_dead(),
-            Self::Queue(q) => q.mark_dead(),
-        }
-    }
-}
-
 /// Drop guard the worker thread holds: if the supervisor exits by panic
 /// (its own bug — detector panics are caught inside it), the guard's `Drop`
-/// marks the channel dead on the way out of the thread, upholding the
-/// engine's "a dead shard is an error, never a hang" contract.
+/// marks the ring dead on the way out of the thread, upholding the engine's
+/// "a dead shard is an error, never a hang" contract.
 pub(crate) struct DeathWatch {
-    channel: Arc<ShardChannel>,
+    ring: Arc<SpscRing>,
     armed: bool,
 }
 
 impl DeathWatch {
-    pub(crate) fn arm(channel: Arc<ShardChannel>) -> Self {
-        Self {
-            channel,
-            armed: true,
-        }
+    pub(crate) fn arm(ring: Arc<SpscRing>) -> Self {
+        Self { ring, armed: true }
     }
 
-    /// Normal worker exit: the channel was closed and drained, not
-    /// abandoned.
+    /// Normal worker exit: the ring was closed and drained, not abandoned.
     pub(crate) fn disarm(&mut self) {
         self.armed = false;
     }
@@ -437,7 +343,7 @@ impl DeathWatch {
 impl Drop for DeathWatch {
     fn drop(&mut self) {
         if self.armed {
-            self.channel.mark_dead();
+            self.ring.mark_dead();
         }
     }
 }
@@ -455,6 +361,25 @@ mod tests {
         }
     }
 
+    /// One-job push; `false` when the ring is full.
+    fn push(r: &SpscRing, seq: u64) -> bool {
+        r.try_push_batch(&mut VecDeque::from([job(seq)])).unwrap() == 1
+    }
+
+    fn pop(r: &SpscRing) -> Option<u64> {
+        let mut out = Vec::new();
+        r.pop_batch(&mut out, 1);
+        out.pop().map(|j| j.seq)
+    }
+
+    /// splitmix-style LCG step shared by the seeded stress tests.
+    fn next(rng: &mut u64) -> u64 {
+        *rng = rng
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        *rng >> 33
+    }
+
     #[test]
     fn capacity_rounds_up_to_power_of_two_min_two() {
         assert_eq!(SpscRing::new(1).capacity, 2);
@@ -467,30 +392,32 @@ mod tests {
     fn fifo_order_and_close_drain() {
         let r = SpscRing::new(4);
         for s in 0..3 {
-            r.try_push(job(s)).ok().unwrap();
+            assert!(push(&r, s));
         }
         r.close();
-        assert_eq!(r.pop_block().unwrap().seq, 0);
-        assert_eq!(r.pop_block().unwrap().seq, 1);
-        assert_eq!(r.pop_block().unwrap().seq, 2);
-        assert!(r.pop_block().is_none(), "closed and drained");
-        assert!(matches!(r.try_push(job(9)), Err(PushError::Dead(_))));
+        let mut out = Vec::new();
+        assert_eq!(r.pop_batch_block(&mut out, 2), 2);
+        assert_eq!(r.pop_batch_block(&mut out, 2), 1);
+        let seqs: Vec<u64> = out.iter().map(|j| j.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2]);
+        assert_eq!(r.pop_batch_block(&mut out, 2), 0, "closed and drained");
+        assert!(r.try_push_batch(&mut VecDeque::from([job(9)])).is_err());
+        assert!(r.push_evicting(job(9)).is_err());
     }
 
     #[test]
     fn full_ring_hands_job_back_until_a_slot_frees() {
         let r = SpscRing::new(2);
-        r.try_push(job(0)).ok().unwrap();
-        r.try_push(job(1)).ok().unwrap();
-        match r.try_push(job(2)) {
-            Err(PushError::Full(j)) => assert_eq!(j.seq, 2),
-            _ => panic!("expected Full"),
-        }
-        assert_eq!(r.try_pop().unwrap().seq, 0);
-        r.try_push(job(2)).ok().unwrap();
-        assert_eq!(r.try_pop().unwrap().seq, 1);
-        assert_eq!(r.try_pop().unwrap().seq, 2);
-        assert!(r.try_pop().is_none());
+        assert!(push(&r, 0));
+        assert!(push(&r, 1));
+        let mut jobs = VecDeque::from([job(2)]);
+        assert_eq!(r.try_push_batch(&mut jobs).unwrap(), 0);
+        assert_eq!(jobs[0].seq, 2, "the job stays with the caller");
+        assert_eq!(pop(&r), Some(0));
+        assert!(push(&r, 2));
+        assert_eq!(pop(&r), Some(1));
+        assert_eq!(pop(&r), Some(2));
+        assert_eq!(pop(&r), None);
     }
 
     #[test]
@@ -503,11 +430,11 @@ mod tests {
         for round in 0..100u64 {
             let burst = (round % 4) + 1;
             for _ in 0..burst {
-                r.try_push(job(next_push)).ok().unwrap();
+                assert!(push(&r, next_push));
                 next_push += 1;
             }
             for _ in 0..burst {
-                assert_eq!(r.try_pop().unwrap().seq, next_pop);
+                assert_eq!(pop(&r), Some(next_pop));
                 next_pop += 1;
             }
         }
@@ -531,17 +458,38 @@ mod tests {
     }
 
     #[test]
+    fn evicting_push_sheds_the_oldest_and_admits_the_newest() {
+        let r = SpscRing::new(2);
+        assert!(r.push_evicting(job(0)).unwrap().is_none());
+        assert!(r.push_evicting(job(1)).unwrap().is_none());
+        let evicted = r.push_evicting(job(2)).unwrap().unwrap();
+        assert_eq!(evicted.seq, 0, "oldest job is the one shed");
+        assert_eq!(r.len(), 2);
+        assert_eq!(pop(&r), Some(1));
+        assert_eq!(pop(&r), Some(2));
+    }
+
+    #[test]
     fn dead_ring_refuses_pushes_and_unblocks_producer() {
         let r = Arc::new(SpscRing::new(2));
-        r.try_push(job(0)).ok().unwrap();
-        r.try_push(job(1)).ok().unwrap();
+        assert!(push(&r, 0));
+        assert!(push(&r, 1));
         let r2 = Arc::clone(&r);
-        let producer = std::thread::spawn(move || r2.push_block(job(2)).is_err());
+        let producer = std::thread::spawn(move || {
+            let mut jobs = VecDeque::from([job(2)]);
+            loop {
+                match r2.try_push_batch(&mut jobs) {
+                    Ok(0) => std::thread::yield_now(),
+                    Ok(_) => return false,
+                    Err(()) => return true,
+                }
+            }
+        });
         std::thread::sleep(Duration::from_millis(20));
         r.mark_dead();
         assert!(producer.join().unwrap(), "blocked push must fail, not hang");
-        assert!(matches!(r.try_push(job(3)), Err(PushError::Dead(_))));
-        assert!(matches!(r.try_push_batch(&mut VecDeque::new()), Err(())));
+        assert!(r.try_push_batch(&mut VecDeque::new()).is_err());
+        assert!(r.push_evicting(job(3)).is_err());
     }
 
     #[test]
@@ -549,10 +497,10 @@ mod tests {
         // The restart story: a panicked worker restarts *on the same
         // thread*, so jobs pushed before the panic are still in the ring.
         let r = SpscRing::new(8);
-        r.try_push(job(7)).ok().unwrap();
-        r.try_push(job(8)).ok().unwrap();
-        assert_eq!(r.pop_block().unwrap().seq, 7);
-        assert_eq!(r.pop_block().unwrap().seq, 8);
+        assert!(push(&r, 7));
+        assert!(push(&r, 8));
+        assert_eq!(pop(&r), Some(7));
+        assert_eq!(pop(&r), Some(8));
     }
 
     #[test]
@@ -560,9 +508,9 @@ mod tests {
         // Exercised under ASan in CI: leaked or double-dropped jobs fail.
         let r = SpscRing::new(4);
         for s in 0..3 {
-            r.try_push(job(s)).ok().unwrap();
+            assert!(push(&r, s));
         }
-        r.try_pop().unwrap();
+        pop(&r).unwrap();
         drop(r);
     }
 
@@ -580,23 +528,14 @@ mod tests {
                 let mut pushed = 0u64;
                 let mut staged: VecDeque<Job> = VecDeque::new();
                 while pushed < N || !staged.is_empty() {
-                    rng = rng
-                        .wrapping_mul(6_364_136_223_846_793_005)
-                        .wrapping_add(1_442_695_040_888_963_407);
-                    let burst = 1 + (rng >> 33) % 7;
+                    let burst = 1 + next(&mut rng) % 7;
                     for _ in 0..burst {
                         if pushed < N {
                             staged.push_back(job(pushed));
                             pushed += 1;
                         }
                     }
-                    // Alternate the two push APIs so both see the wraps.
-                    if rng & 1 == 0 {
-                        r.try_push_batch(&mut staged).unwrap();
-                    } else if let Some(j) = staged.pop_front() {
-                        r.push_block(j).ok().unwrap();
-                    }
-                    if (rng >> 20).is_multiple_of(4) {
+                    if r.try_push_batch(&mut staged).unwrap() == 0 || rng & 3 == 0 {
                         std::thread::yield_now();
                     }
                 }
@@ -607,16 +546,10 @@ mod tests {
         let mut seen = 0u64;
         let mut out = Vec::new();
         loop {
-            rng = rng
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            let max = 1 + ((rng >> 33) as usize) % 6;
+            let max = 1 + (next(&mut rng) as usize) % 6;
             out.clear();
-            if r.pop_batch(&mut out, max) == 0 {
-                match r.pop_block() {
-                    Some(j) => out.push(j),
-                    None => break,
-                }
+            if r.pop_batch_block(&mut out, max) == 0 {
+                break;
             }
             for j in &out {
                 assert_eq!(j.seq, seen, "out-of-order or lost job");
@@ -625,6 +558,69 @@ mod tests {
         }
         producer.join().unwrap();
         assert_eq!(seen, N, "every pushed job must be popped exactly once");
+    }
+
+    /// The two-takers race: the producer pushes with eviction into a tiny
+    /// ring while the consumer batch-pops across wraps, so the head CAS is
+    /// contended constantly. Every job is either consumed or evicted —
+    /// never both, never neither — the survivors arrive in push order, and
+    /// the last job pushed is never evicted.
+    #[test]
+    fn ring_eviction_stress_counts_every_job_once_across_wraps() {
+        const N: u64 = 50_000;
+        let r = Arc::new(SpscRing::new(4));
+        let producer = {
+            let r = Arc::clone(&r);
+            std::thread::spawn(move || {
+                let mut rng: u64 = 0x2545_F491_4F6C_DD1D;
+                let mut shed = Vec::new();
+                for seq in 0..N {
+                    if let Some(evicted) = r.push_evicting(job(seq)).unwrap() {
+                        shed.push(evicted.seq);
+                    }
+                    if next(&mut rng).is_multiple_of(64) {
+                        std::thread::yield_now();
+                    }
+                }
+                r.close();
+                shed
+            })
+        };
+        let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut scored = Vec::new();
+        let mut out = Vec::new();
+        loop {
+            let max = 1 + (next(&mut rng) as usize) % 5;
+            out.clear();
+            if r.pop_batch_block(&mut out, max) == 0 {
+                break;
+            }
+            scored.extend(out.iter().map(|j| j.seq));
+            if next(&mut rng).is_multiple_of(8) {
+                std::thread::yield_now();
+            }
+        }
+        let shed = producer.join().unwrap();
+        assert_eq!(
+            scored.len() + shed.len(),
+            N as usize,
+            "scored + shed == pushed"
+        );
+        assert!(
+            scored.windows(2).all(|w| w[0] < w[1]),
+            "survivors out of order"
+        );
+        assert!(
+            shed.windows(2).all(|w| w[0] < w[1]),
+            "evictions out of order"
+        );
+        let mut all: Vec<u64> = scored.iter().chain(&shed).copied().collect();
+        all.sort_unstable();
+        assert!(
+            all.iter().copied().eq(0..N),
+            "a job was lost or taken twice"
+        );
+        assert_eq!(scored.last(), Some(&(N - 1)), "the newest job was evicted");
     }
 
     /// Lane-partitioned multi-producer stress under full-lap wraparound
@@ -642,22 +638,22 @@ mod tests {
         const KILLED: usize = 2;
         const KILL_AFTER: u64 = 512;
 
-        let channels: Vec<Arc<ShardChannel>> = (0..LANES)
-            .map(|_| Arc::new(ShardChannel::Ring(SpscRing::new(8))))
-            .collect();
+        let rings: Vec<Arc<SpscRing>> = (0..LANES).map(|_| Arc::new(SpscRing::new(8))).collect();
 
         // Consumers: each ring's unique popper, guarded like a real worker.
         // The killed one returns early without disarming — exactly the
-        // supervisor-panic path — so Drop marks its channel dead.
-        let consumers: Vec<_> = channels
+        // supervisor-panic path — so Drop marks its ring dead.
+        let consumers: Vec<_> = rings
             .iter()
             .enumerate()
-            .map(|(idx, ch)| {
-                let ch = Arc::clone(ch);
+            .map(|(idx, ring)| {
+                let ring = Arc::clone(ring);
                 std::thread::spawn(move || {
-                    let mut watch = DeathWatch::arm(Arc::clone(&ch));
+                    let mut watch = DeathWatch::arm(Arc::clone(&ring));
                     let mut seen = 0u64;
-                    while let Some(j) = ch.pop_block() {
+                    let mut out = Vec::new();
+                    while ring.pop_batch_block(&mut out, 1) > 0 {
+                        let j = out.pop().unwrap();
                         assert_eq!(j.seq, seen, "ring {idx} delivered out of order");
                         seen += 1;
                         if idx == KILLED && seen == KILL_AFTER {
@@ -673,37 +669,27 @@ mod tests {
         // Producers: lane p owns ring p outright (the S == P case of the
         // engine's `shard % lanes == lane` ownership rule). Seeded bursts
         // against capacity-8 rings force a full lap every few iterations.
-        let producers: Vec<_> = channels
+        let producers: Vec<_> = rings
             .iter()
             .enumerate()
-            .map(|(lane, ch)| {
-                let ch = Arc::clone(ch);
+            .map(|(lane, ring)| {
+                let ring = Arc::clone(ring);
                 std::thread::spawn(move || {
                     let mut rng: u64 = 0xA076_1D64_78BD_642F ^ ((lane as u64) << 17);
                     let mut staged: VecDeque<Job> = VecDeque::new();
-                    let mut next = 0u64;
-                    while next < PER_LANE || !staged.is_empty() {
-                        rng = rng
-                            .wrapping_mul(6_364_136_223_846_793_005)
-                            .wrapping_add(1_442_695_040_888_963_407);
-                        let burst = 1 + (rng >> 33) % 7;
+                    let mut pushed = 0u64;
+                    while pushed < PER_LANE || !staged.is_empty() {
+                        let burst = 1 + next(&mut rng) % 7;
                         for _ in 0..burst {
-                            if next < PER_LANE {
-                                staged.push_back(job(next));
-                                next += 1;
+                            if pushed < PER_LANE {
+                                staged.push_back(job(pushed));
+                                pushed += 1;
                             }
                         }
-                        // Alternate both push APIs across the wraps.
-                        if rng & 1 == 0 {
-                            if ch.try_push_batch(&mut staged).is_err() {
-                                return Err(lane); // dead channel: fail fast
-                            }
-                        } else if let Some(j) = staged.pop_front() {
-                            match ch.push_block(j) {
-                                Ok(()) => {}
-                                Err(PushError::Full(j)) => staged.push_front(j),
-                                Err(PushError::Dead(_)) => return Err(lane),
-                            }
+                        match ring.try_push_batch(&mut staged) {
+                            Ok(0) => std::thread::yield_now(),
+                            Ok(_) => {}
+                            Err(()) => return Err(lane), // dead ring: fail fast
                         }
                     }
                     Ok(lane)
@@ -722,8 +708,8 @@ mod tests {
         // completing at all proves nobody hung on the dead ring.
         assert_eq!(dead_lanes, vec![KILLED], "exactly the killed lane fails");
 
-        for ch in &channels {
-            ch.close();
+        for ring in &rings {
+            ring.close();
         }
         for (idx, c) in consumers.into_iter().enumerate() {
             let seen = c.join().expect("consumer panicked");
@@ -733,10 +719,9 @@ mod tests {
                 assert_eq!(seen, PER_LANE, "lane {idx} lost jobs");
             }
         }
-        // The dead channel keeps refusing pushes after the fact.
-        assert!(matches!(
-            channels[KILLED].try_push(job(0)),
-            Err(PushError::Dead(_))
-        ));
+        // The dead ring keeps refusing pushes after the fact.
+        assert!(rings[KILLED]
+            .try_push_batch(&mut VecDeque::from([job(0)]))
+            .is_err());
     }
 }

@@ -1,37 +1,25 @@
 //! The worker side of a shard: a supervised thread owning one detector,
-//! draining one bounded channel, with an optional companion refresher
-//! thread that recomputes the model off the ingest path.
+//! draining one bounded ring.
 //!
 //! Supervision contract: a panic inside the detector (`process` /
 //! `process_batch`) is caught *inside the worker thread*, which rebuilds a
 //! fresh detector from the shard's factory, re-adopts the last published
 //! snapshot ([`StreamingDetector::adopt_model`]) so scoring resumes from the
 //! model readers were already being served, and keeps draining the same
-//! channel — scores accumulated before the panic survive. Each shard gets
+//! ring — scores accumulated before the panic survive. Each shard gets
 //! `max_restarts` such recoveries; beyond that it **degrades**: the stale
 //! snapshot keeps serving reads, while queued and future updates are shed
 //! with exact counts instead of failing the whole pipeline.
-//!
-//! Asynchronous refresh ([`WorkerConfig::refresh_every`] > 0): the worker
-//! switches its detector to external refresh and, at every
-//! `refresh_every`-processed-points boundary, (1) adopts the model rebuild
-//! it kicked at the *previous* boundary — blocking until it is ready, so
-//! adoption points are a pure function of the point stream — and (2) hands
-//! the refresher thread a new [`RefreshTask`] capturing the current sketch.
-//! Micro-batches are clamped so they never straddle a boundary. The
-//! refresher (and any in-flight task) is discarded and respawned when a
-//! panic replaces the detector, and joined at drain end.
 
-use crate::ring::ShardChannel;
+use crate::ring::SpscRing;
 use crate::snapshot::SnapshotCell;
 use crate::stats::LatencyHistogram;
-use sketchad_core::{RefreshTask, StreamingDetector, SubspaceModel};
+use sketchad_core::StreamingDetector;
 use sketchad_durable::StateStore;
 use sketchad_obs::{Counter, Event, Gauge, Hist, RecorderHandle, Stage};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One unit of work: a point plus its global submission sequence number.
@@ -78,19 +66,11 @@ pub(crate) struct ShardShared {
 }
 
 impl ShardShared {
-    /// Reserves a queue slot in the depth accounting. Called **before** the
-    /// actual enqueue — the worker may drain the job (and decrement) at any
-    /// moment after the send, so incrementing afterwards could underflow.
-    pub(crate) fn reserve_slot(&self) {
-        let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.high_water.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Batched form of [`reserve_slot`](Self::reserve_slot): one depth bump
-    /// and one high-water update for a whole staged group. The depth count
-    /// stays exact; only the high-water mark coarsens to group granularity
-    /// (metrics-only — the per-row path would have observed intermediate
-    /// depths the worker may already have drained past anyway).
+    /// Reserves `n` queue slots in the depth accounting: one depth bump
+    /// and one high-water update for a whole staged group. Called
+    /// **before** the actual enqueue — the worker may drain the jobs (and
+    /// decrement) at any moment after the push, so incrementing afterwards
+    /// could underflow.
     pub(crate) fn reserve_slots(&self, n: usize) {
         let depth = self.depth.fetch_add(n, Ordering::Relaxed) + n;
         self.high_water.fetch_max(depth, Ordering::Relaxed);
@@ -116,9 +96,6 @@ pub(crate) struct WorkerConfig {
     /// Durable checkpoint period in processed points (0 = only at clean
     /// drain). Only meaningful when a [`StateStore`] is attached.
     pub checkpoint_every: u64,
-    /// Off-thread refresh period in processed points (0 = inline refresh
-    /// under the detector's own policy).
-    pub refresh_every: u64,
 }
 
 /// What a worker thread returns when its queue closes.
@@ -137,108 +114,6 @@ struct WorkerState {
     in_flight: u64,
 }
 
-/// The worker's handle on its companion refresher thread: a task channel
-/// out, a model channel back, and the bookkeeping that pins adoption to
-/// processed-count boundaries.
-struct Refresher {
-    /// `Option` so `Drop` can hang up before joining.
-    task_tx: Option<mpsc::Sender<RefreshTask>>,
-    result_rx: mpsc::Receiver<Option<SubspaceModel>>,
-    join: Option<JoinHandle<()>>,
-    /// A task is in flight; the *next* boundary blocks on its result.
-    outstanding: bool,
-    /// Shard `processed` count when the in-flight task was kicked; the
-    /// adoption-time difference is the `refresh_lag` gauge.
-    kicked_at: u64,
-}
-
-impl Refresher {
-    /// Switches `detector` to external refresh and spawns the refresher
-    /// thread. `None` (detector left in inline mode) when async refresh is
-    /// off, the detector kind has no deferred-refresh path, or the spawn
-    /// fails.
-    fn start(cfg: &WorkerConfig, detector: &mut (dyn StreamingDetector + Send)) -> Option<Self> {
-        if cfg.refresh_every == 0 || !detector.set_external_refresh(true) {
-            return None;
-        }
-        let (task_tx, task_rx) = mpsc::channel::<RefreshTask>();
-        let (result_tx, result_rx) = mpsc::channel();
-        let spawned = std::thread::Builder::new()
-            .name(format!("sketchad-refresh-{}", cfg.shard))
-            .spawn(move || {
-                while let Ok(task) = task_rx.recv() {
-                    if result_tx.send(task()).is_err() {
-                        break; // the worker moved on (restart or shutdown)
-                    }
-                }
-            });
-        match spawned {
-            Ok(join) => Some(Self {
-                task_tx: Some(task_tx),
-                result_rx,
-                join: Some(join),
-                outstanding: false,
-                kicked_at: 0,
-            }),
-            Err(_) => {
-                // No refresher thread — fall back to inline refresh rather
-                // than never refreshing again.
-                detector.set_external_refresh(false);
-                None
-            }
-        }
-    }
-
-    /// Runs exactly when `processed` crosses a `refresh_every` boundary:
-    /// adopts the rebuild kicked at the previous boundary (blocking until
-    /// it is ready — adoption points must depend only on the point stream,
-    /// never on thread timing), then kicks a new rebuild from the current
-    /// sketch. Pre-warmup boundaries kick nothing, so the detector's own
-    /// warmup-end build stays the first model, exactly as in inline mode.
-    fn at_boundary(
-        &mut self,
-        detector: &mut (dyn StreamingDetector + Send),
-        shared: &ShardShared,
-        recorder: &RecorderHandle,
-    ) {
-        let processed = shared.processed.load(Ordering::Relaxed);
-        if self.outstanding {
-            self.outstanding = false;
-            if let Ok(result) = self.result_rx.recv() {
-                if let Some(model) = result {
-                    detector.adopt_model(&model);
-                }
-                if recorder.enabled() {
-                    recorder.gauge(Gauge::RefreshLag, (processed - self.kicked_at) as f64);
-                }
-            }
-        }
-        if detector.is_warmed_up() {
-            if let Some(task) = detector.refresh_task() {
-                if self
-                    .task_tx
-                    .as_ref()
-                    .is_some_and(|tx| tx.send(task).is_ok())
-                {
-                    self.outstanding = true;
-                    self.kicked_at = processed;
-                }
-            }
-        }
-    }
-}
-
-impl Drop for Refresher {
-    fn drop(&mut self) {
-        // Hang up first so the thread's recv loop ends, then join. At most
-        // one task can be in flight, so the join is bounded by one rebuild.
-        self.task_tx = None;
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
 /// Supervised worker loop: drain, and on a detector panic restart from the
 /// last published snapshot (up to `max_restarts` times) or degrade.
 ///
@@ -248,7 +123,7 @@ impl Drop for Refresher {
 /// instead.
 pub(crate) fn run_supervised(
     cfg: WorkerConfig,
-    channel: Arc<ShardChannel>,
+    ring: Arc<SpscRing>,
     mut detector: Box<dyn StreamingDetector + Send>,
     mut rebuild: DetectorRebuild,
     shared: Arc<ShardShared>,
@@ -260,18 +135,16 @@ pub(crate) fn run_supervised(
         latency: LatencyHistogram::new(),
         in_flight: 0,
     };
-    let mut refresher = Refresher::start(&cfg, detector.as_mut());
     loop {
         let drained = catch_unwind(AssertUnwindSafe(|| {
             drain(
                 &cfg,
-                &channel,
+                &ring,
                 detector.as_mut(),
                 &shared,
                 &recorder,
                 &mut state,
                 &mut store,
-                &mut refresher,
             );
         }));
         match drained {
@@ -296,7 +169,7 @@ pub(crate) fn run_supervised(
                 state.in_flight = 0;
                 let restarts = shared.restarts.fetch_add(1, Ordering::Relaxed) + 1;
                 if restarts > u64::from(cfg.max_restarts) {
-                    degrade(&cfg, &channel, &shared, &recorder, restarts);
+                    degrade(&cfg, &ring, &shared, &recorder, restarts);
                     break;
                 }
                 // The rebuild itself may panic (a broken factory); that
@@ -313,10 +186,6 @@ pub(crate) fn run_supervised(
                 match rebuilt {
                     Ok(fresh) => {
                         detector = fresh;
-                        // The old refresher's in-flight task (if any) was
-                        // computed from the corrupted detector's sketch;
-                        // discard it with the thread and start afresh.
-                        refresher = Refresher::start(&cfg, detector.as_mut());
                         if recorder.enabled() {
                             recorder.incr(Counter::WorkerRestarts, 1);
                             recorder.event(Event::WorkerRestarted {
@@ -326,7 +195,7 @@ pub(crate) fn run_supervised(
                         }
                     }
                     Err(_) => {
-                        degrade(&cfg, &channel, &shared, &recorder, restarts);
+                        degrade(&cfg, &ring, &shared, &recorder, restarts);
                         break;
                     }
                 }
@@ -339,129 +208,79 @@ pub(crate) fn run_supervised(
     }
 }
 
-/// Drains jobs until the channel closes. With `max_batch > 1` the worker
-/// micro-batches: after blocking for one job it opportunistically drains up
-/// to `max_batch − 1` already-queued jobs (one batch pop on the ring) and
-/// scores the group through [`StreamingDetector::process_batch`], whose
-/// blocked `V_kᵀY` kernel yields scores bitwise identical to per-point
-/// processing. Under async refresh a micro-batch is additionally clamped so
-/// it never crosses a `refresh_every` boundary — adoption points stay a
-/// pure function of the point stream. Instrumented workers always run per
-/// point so recorded span and gauge counts match the per-point contract
-/// exactly.
-#[allow(clippy::too_many_arguments)]
+/// Drains jobs until the ring closes. With `max_batch > 1` the worker
+/// micro-batches: it waits for one job, takes up to `max_batch` already
+/// queued jobs under one ring claim, and scores the group through
+/// [`StreamingDetector::process_batch`], whose blocked `V_kᵀY` kernel
+/// yields scores bitwise identical to per-point processing. Instrumented
+/// workers always run per point so recorded span and gauge counts match the
+/// per-point contract exactly.
 fn drain(
     cfg: &WorkerConfig,
-    channel: &ShardChannel,
+    ring: &SpscRing,
     detector: &mut (dyn StreamingDetector + Send),
     shared: &ShardShared,
     recorder: &RecorderHandle,
     state: &mut WorkerState,
     store: &mut Option<StateStore>,
-    refresher: &mut Option<Refresher>,
 ) {
     let observing = recorder.enabled();
-    if observing || cfg.max_batch <= 1 {
-        while let Some(job) = channel.pop_block() {
-            let depth_after = shared.depth.fetch_sub(1, Ordering::Relaxed) - 1;
-            // Write-ahead: the row is on disk before the detector sees it,
-            // so a crash between log and score replays it on recovery.
-            log_row(store, &job.point);
-            state.in_flight = 1;
-            let score = detector.process(&job.point);
-            state.in_flight = 0;
-            let processed = shared.processed.fetch_add(1, Ordering::Relaxed) + 1;
-            let waited = job.enqueued.elapsed();
+    let per_point = observing || cfg.max_batch <= 1;
+    let budget = if per_point { 1 } else { cfg.max_batch };
+    // Reused across batches: the only steady-state allocations left are
+    // the point vectors themselves, owned by the submitter.
+    let mut jobs: Vec<Job> = Vec::with_capacity(budget);
+    let mut points: Vec<Vec<f64>> = Vec::with_capacity(budget);
+    let mut meta: Vec<(u64, Instant)> = Vec::with_capacity(budget);
+    let mut scores: Vec<f64> = Vec::with_capacity(budget);
+    while ring.pop_batch_block(&mut jobs, budget) > 0 {
+        let n = jobs.len();
+        let depth_after = shared.depth.fetch_sub(n, Ordering::Relaxed) - n;
+        points.clear();
+        meta.clear();
+        for job in jobs.drain(..) {
+            meta.push((job.seq, job.enqueued));
+            points.push(job.point);
+        }
+        // Write-ahead for the whole micro-batch before any scoring: a
+        // crash mid-batch replays every logged row on recovery.
+        for point in &points {
+            log_row(store, point);
+        }
+        state.in_flight = n as u64;
+        if per_point {
+            scores.clear();
+            scores.push(detector.process(&points[0]));
+        } else {
+            detector.process_batch(&points, &mut scores);
+        }
+        state.in_flight = 0;
+        let before = shared.processed.fetch_add(n as u64, Ordering::Relaxed);
+        // One clock read per micro-batch: queue latency is measured at
+        // drain granularity, like the submit side stamps one `enqueued`
+        // per staged batch (metrics-only accounting, scores unaffected).
+        let drained = Instant::now();
+        for (&(seq, enqueued), &score) in meta.iter().zip(scores.iter()) {
+            let waited = drained.duration_since(enqueued);
             state.latency.record(waited);
-            state.scores.push((job.seq, score));
+            state.scores.push((seq, score));
             if observing {
-                recorder.gauge(Gauge::QueueDepth, depth_after as f64);
-                if let Some(depth) = channel.ring_depth() {
-                    recorder.gauge(Gauge::RingDepth, depth as f64);
-                }
                 recorder.record_hist(Hist::SubmitLatency, waited.as_nanos() as u64);
             }
-            if let Some(r) = refresher.as_mut() {
-                if processed.is_multiple_of(cfg.refresh_every) {
-                    r.at_boundary(detector, shared, recorder);
-                }
-            }
-            if cfg.snapshot_every > 0 && processed.is_multiple_of(cfg.snapshot_every) {
-                publish_snapshot(cfg.shard, detector, shared, recorder);
-            }
-            if let Some(s) = store.as_mut() {
-                if cfg.checkpoint_every > 0 && processed.is_multiple_of(cfg.checkpoint_every) {
-                    checkpoint(cfg, s, detector, recorder);
-                }
-            }
         }
-    } else {
-        // Reused across batches: the only steady-state allocations left are
-        // the point vectors themselves, owned by the submitter.
-        let mut batch_jobs: Vec<Job> = Vec::with_capacity(cfg.max_batch);
-        let mut batch_points: Vec<Vec<f64>> = Vec::with_capacity(cfg.max_batch);
-        let mut batch_meta: Vec<(u64, Instant)> = Vec::with_capacity(cfg.max_batch);
-        let mut batch_scores: Vec<f64> = Vec::with_capacity(cfg.max_batch);
-        while let Some(job) = channel.pop_block() {
-            let before = shared.processed.load(Ordering::Relaxed);
-            // Clamp to the next refresh boundary so no batch straddles one.
-            let budget = match refresher {
-                Some(_) => {
-                    let to_boundary = cfg.refresh_every - (before % cfg.refresh_every);
-                    (cfg.max_batch as u64).min(to_boundary) as usize
-                }
-                None => cfg.max_batch,
-            };
-            batch_points.clear();
-            batch_meta.clear();
-            batch_meta.push((job.seq, job.enqueued));
-            batch_points.push(job.point);
-            if batch_points.len() < budget {
-                batch_jobs.clear();
-                channel.pop_batch(&mut batch_jobs, budget - batch_points.len());
-                for job in batch_jobs.drain(..) {
-                    batch_meta.push((job.seq, job.enqueued));
-                    batch_points.push(job.point);
-                }
-            }
-            let n = batch_points.len() as u64;
-            shared.depth.fetch_sub(n as usize, Ordering::Relaxed);
-            // Write-ahead for the whole micro-batch before any scoring: a
-            // crash mid-batch replays every logged row on recovery.
-            for point in &batch_points {
-                log_row(store, point);
-            }
-            state.in_flight = n;
-            detector.process_batch(&batch_points, &mut batch_scores);
-            state.in_flight = 0;
-            let before = shared.processed.fetch_add(n, Ordering::Relaxed);
-            // One clock read per micro-batch: queue latency is measured at
-            // drain granularity, like the submit side stamps one `enqueued`
-            // per staged batch (metrics-only accounting, scores unaffected).
-            let drained = Instant::now();
-            for (&(seq, enqueued), &score) in batch_meta.iter().zip(batch_scores.iter()) {
-                state.latency.record(drained.duration_since(enqueued));
-                state.scores.push((seq, score));
-            }
-            if let Some(r) = refresher.as_mut() {
-                // The clamp above means crossing ⇔ landing exactly on it.
-                if (before + n).is_multiple_of(cfg.refresh_every) {
-                    r.at_boundary(detector, shared, recorder);
-                }
-            }
-            // Publish when the batch crossed a `snapshot_every` boundary —
-            // same cadence (one publish per period) as the per-point loop.
-            if cfg.snapshot_every > 0
-                && before / cfg.snapshot_every != (before + n) / cfg.snapshot_every
-            {
-                publish_snapshot(cfg.shard, detector, shared, recorder);
-            }
-            if let Some(s) = store.as_mut() {
-                if cfg.checkpoint_every > 0
-                    && before / cfg.checkpoint_every != (before + n) / cfg.checkpoint_every
-                {
-                    checkpoint(cfg, s, detector, recorder);
-                }
+        if observing {
+            recorder.gauge(Gauge::QueueDepth, depth_after as f64);
+            recorder.gauge(Gauge::RingDepth, ring.len() as f64);
+        }
+        // Publish when the batch crossed a `snapshot_every` boundary — one
+        // publish per period whatever the batch sizes.
+        let crossed = |every: u64| every > 0 && before / every != (before + n as u64) / every;
+        if crossed(cfg.snapshot_every) {
+            publish_snapshot(cfg.shard, detector, shared, recorder);
+        }
+        if let Some(s) = store.as_mut() {
+            if crossed(cfg.checkpoint_every) {
+                checkpoint(cfg, s, detector, recorder);
             }
         }
     }
@@ -472,7 +291,7 @@ fn drain(
 /// published snapshot stays up for readers.
 fn degrade(
     cfg: &WorkerConfig,
-    channel: &ShardChannel,
+    ring: &SpscRing,
     shared: &ShardShared,
     recorder: &RecorderHandle,
     restarts: u64,
@@ -484,15 +303,18 @@ fn degrade(
             restarts,
         });
     }
-    while let Some(job) = channel.pop_block() {
-        shared.depth.fetch_sub(1, Ordering::Relaxed);
-        shared.shed.fetch_add(1, Ordering::Relaxed);
-        if recorder.enabled() {
-            recorder.incr(Counter::PointsShed, 1);
-            recorder.event(Event::QueueShed {
-                shard: cfg.shard,
-                seq: job.seq,
-            });
+    let mut jobs = Vec::new();
+    while ring.pop_batch_block(&mut jobs, cfg.max_batch) > 0 {
+        for job in jobs.drain(..) {
+            shared.depth.fetch_sub(1, Ordering::Relaxed);
+            shared.shed.fetch_add(1, Ordering::Relaxed);
+            if recorder.enabled() {
+                recorder.incr(Counter::PointsShed, 1);
+                recorder.event(Event::QueueShed {
+                    shard: cfg.shard,
+                    seq: job.seq,
+                });
+            }
         }
     }
 }

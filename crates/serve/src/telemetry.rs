@@ -21,10 +21,11 @@
 //! carries `conservation_lag` (submitted minus everything accounted for,
 //! including in-queue depth) together with `conservation_ok`, which is
 //! `1.0` while the lag stays inside the race window
-//! `shards × (max_batch + 1) + 1` — each worker can be mid-batch, each
-//! shard can have one reserved-but-unsent slot, and one submission can be
-//! mid-flight. The final frame (taken after the workers join) must have a
-//! lag of exactly zero, and the stress tests check it does.
+//! `shards × (max_batch + 1) + batch` — each worker can be mid-batch, each
+//! shard can have one reserved-but-unsent slot, and the `batch` rows of the
+//! submission in flight count as submitted before they reach a shard. The
+//! final frame (taken after the workers join) must have a lag of exactly
+//! zero, and the stress tests check it does.
 
 use crate::shard::ShardShared;
 use sketchad_obs::{
@@ -33,7 +34,8 @@ use sketchad_obs::{
 };
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::{Acquire, Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -178,9 +180,11 @@ pub(crate) struct EngineProbe {
     pub shards: Vec<Arc<ShardShared>>,
     pub recorders: Vec<Option<Arc<MetricsRecorder>>>,
     pub submitted: Arc<AtomicU64>,
+    /// Rows of the submission in flight (0 between submissions).
+    pub in_flight: Arc<AtomicU64>,
     pub started: Instant,
-    /// Allowed |conservation_lag| on a live sample: one in-flight batch per
-    /// worker, one reserved slot per shard, one mid-flight submission.
+    /// Allowed |conservation_lag| on a live sample besides the in-flight
+    /// rows: one micro-batch per worker and one reserved slot per shard.
     pub slack_limit: i64,
 }
 
@@ -195,8 +199,12 @@ impl EngineProbe {
         // Read the global submission counter *before* the per-shard
         // counters: anything submitted after this instant only makes the
         // accounted side larger, keeping the live lag one-sided-ish within
-        // the documented slack either way.
-        let submitted = self.submitted.load(Relaxed);
+        // the documented slack either way. The in-flight size is read
+        // twice: right after `submitted` (it then covers the batch that
+        // `submitted` already counts) and after the shard counters (then it
+        // covers a batch that started meanwhile and already shows there).
+        let submitted = self.submitted.load(Acquire);
+        let in_flight_before = self.in_flight.load(Acquire);
         let (mut processed, mut dropped, mut rejected) = (0u64, 0u64, 0u64);
         let (mut shed, mut crash_lost, mut restarts) = (0u64, 0u64, 0u64);
         let (mut depth, mut high_water, mut degraded) = (0u64, 0u64, 0u64);
@@ -225,13 +233,14 @@ impl EngineProbe {
         frame
             .gauges
             .insert("degraded_shards".into(), degraded as f64);
+        let in_flight = in_flight_before.max(self.in_flight.load(Acquire)) as i64;
         let accounted = processed + dropped + rejected + shed + crash_lost + depth;
         let lag = submitted as i128 - accounted as i128;
         let lag = lag.clamp(i64::MIN as i128, i64::MAX as i128) as i64;
         frame.gauges.insert("conservation_lag".into(), lag as f64);
         frame.gauges.insert(
             "conservation_ok".into(),
-            f64::from(u8::from(lag.abs() <= self.slack_limit)),
+            f64::from(u8::from(lag.abs() <= self.slack_limit + in_flight)),
         );
         // Instrumented engines also surface the recorder tier: merged
         // counters (events_dropped, snapshots_published, updates_skipped,
@@ -285,6 +294,7 @@ mod tests {
             shards,
             recorders: Vec::new(),
             submitted: Arc::new(AtomicU64::new(submitted)),
+            in_flight: Arc::new(AtomicU64::new(0)),
             started: Instant::now(),
             slack_limit: slack,
         }
@@ -322,6 +332,19 @@ mod tests {
         shard.depth.store(2, Relaxed);
         let frame = probe_with(vec![shard], 50, 3).frame(0);
         assert_eq!(frame.gauge("conservation_lag"), Some(-2.0));
+        assert_eq!(frame.gauge("conservation_ok"), Some(1.0));
+    }
+
+    #[test]
+    fn in_flight_batch_widens_the_slack() {
+        let shard = Arc::new(ShardShared::default());
+        shard.processed.store(10, Relaxed);
+        let probe = probe_with(vec![shard], 100, 3);
+        assert_eq!(probe.frame(0).gauge("conservation_ok"), Some(0.0));
+        // A 90-row batch mid-submission accounts for the whole lag.
+        probe.in_flight.store(90, Relaxed);
+        let frame = probe.frame(1);
+        assert_eq!(frame.gauge("conservation_lag"), Some(90.0));
         assert_eq!(frame.gauge("conservation_ok"), Some(1.0));
     }
 

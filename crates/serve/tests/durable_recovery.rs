@@ -73,7 +73,9 @@ fn persistent_config(state_dir: &Path) -> ServeConfig {
 fn control_scores() -> Vec<f64> {
     let mut engine =
         ServeEngine::start(ServeConfig::new(1).with_max_batch(8), factory).expect("control start");
-    engine.submit_batch((0..TOTAL).map(row)).expect("submit");
+    engine
+        .submit_batch_rows(&(0..TOTAL).map(row).collect::<Vec<_>>())
+        .expect("submit");
     engine.finish().expect("drain").scores_in_order()
 }
 
@@ -84,7 +86,9 @@ fn control_scores() -> Vec<f64> {
 fn run_then_crash(state_dir: &Path) -> Vec<f64> {
     let mut engine =
         ServeEngine::open_or_recover(persistent_config(state_dir), factory).expect("start");
-    engine.submit_batch((0..CRASH_AT).map(row)).expect("submit");
+    engine
+        .submit_batch_rows(&(0..CRASH_AT).map(row).collect::<Vec<_>>())
+        .expect("submit");
     let scores = engine.finish().expect("drain").scores_in_order();
 
     let shard = durable::shard_dir(state_dir, 0);
@@ -128,7 +132,7 @@ fn kill_mid_stream_then_recover_matches_uncrashed_control() {
     let mut engine =
         ServeEngine::open_or_recover(persistent_config(&state_dir), factory).expect("recover");
     let outcome = engine
-        .submit_batch((CRASH_AT..TOTAL).map(row))
+        .submit_batch_rows(&(CRASH_AT..TOTAL).map(row).collect::<Vec<_>>())
         .expect("submit tail");
     let report = engine.finish().expect("drain");
 
@@ -181,7 +185,7 @@ fn double_recovery_from_same_damage_is_bitwise_identical() {
         let mut engine =
             ServeEngine::open_or_recover(persistent_config(dir), factory).expect("recover");
         engine
-            .submit_batch((CRASH_AT..TOTAL).map(row))
+            .submit_batch_rows(&(CRASH_AT..TOTAL).map(row).collect::<Vec<_>>())
             .expect("submit");
         let report = engine.finish().expect("drain");
         (
@@ -226,20 +230,24 @@ fn two_shard_recovery_aggregates_counters_and_preserves_scores() {
     };
 
     let mut control = ServeEngine::start(config(None), factory).expect("control");
-    control.submit_batch((0..TOTAL).map(row)).expect("submit");
+    control
+        .submit_batch_rows(&(0..TOTAL).map(row).collect::<Vec<_>>())
+        .expect("submit");
     let control_scores = control.finish().expect("drain").scores_in_order();
 
     let state_dir = temp_dir("two-shard");
     let mut first = ServeEngine::open_or_recover(config(Some(&state_dir)), factory).expect("start");
     // CRASH_AT is even, so both shards stop on a round-robin boundary and
     // the reopened engine's round-robin cursor realigns with the control.
-    first.submit_batch((0..CRASH_AT).map(row)).expect("submit");
+    first
+        .submit_batch_rows(&(0..CRASH_AT).map(row).collect::<Vec<_>>())
+        .expect("submit");
     drop(first.finish().expect("drain"));
 
     let mut second =
         ServeEngine::open_or_recover(config(Some(&state_dir)), factory).expect("recover");
     second
-        .submit_batch((CRASH_AT..TOTAL).map(row))
+        .submit_batch_rows(&(CRASH_AT..TOTAL).map(row).collect::<Vec<_>>())
         .expect("submit");
     let report = second.finish().expect("drain");
 

@@ -136,15 +136,9 @@ impl FrequentDirections {
 
         let keep = self.ell.min(r);
         let mut new_occupied = 0;
-        let mut dropped_mass = 0.0;
-        // Mass dropped from directions not kept.
-        for i in keep..r {
-            dropped_mass += svd.s[i] * svd.s[i];
-        }
         for i in 0..keep {
             let s2 = svd.s[i] * svd.s[i];
             let shrunk = (s2 - delta).max(0.0);
-            dropped_mass += s2 - shrunk;
             if shrunk > 0.0 {
                 let scale = shrunk.sqrt();
                 let vt_row = svd.vt.row(i);
@@ -161,7 +155,6 @@ impl FrequentDirections {
                 *v = 0.0;
             }
         }
-        let _ = dropped_mass; // retained for debugging clarity
         self.occupied = new_occupied;
         if let Some(t0) = started {
             self.recorder

@@ -21,7 +21,7 @@ fn run_instrumented(stream: &LabeledStream, shards: usize) -> PipelineReport {
     })
     .expect("engine start");
     engine
-        .submit_batch(stream.iter().map(|(v, _)| v.to_vec()))
+        .submit_batch_rows(&stream.iter().map(|(v, _)| v.to_vec()).collect::<Vec<_>>())
         .expect("submit");
     engine.finish().expect("drain")
 }
@@ -85,7 +85,7 @@ fn instrumentation_leaves_pipeline_scores_bit_identical() {
     })
     .expect("engine start");
     plain_engine
-        .submit_batch(stream.iter().map(|(v, _)| v.to_vec()))
+        .submit_batch_rows(&stream.iter().map(|(v, _)| v.to_vec()).collect::<Vec<_>>())
         .expect("submit");
     let plain = plain_engine.finish().expect("drain").scores_in_order();
     let metered = run_instrumented(&stream, 2).scores_in_order();
@@ -108,7 +108,7 @@ fn instrumentation_leaves_pipeline_scores_bit_identical() {
         )
         .expect("start telemetry");
     sampled_engine
-        .submit_batch(stream.iter().map(|(v, _)| v.to_vec()))
+        .submit_batch_rows(&stream.iter().map(|(v, _)| v.to_vec()).collect::<Vec<_>>())
         .expect("submit");
     let sampled = sampled_engine.finish().expect("drain").scores_in_order();
     assert_eq!(plain.len(), sampled.len());

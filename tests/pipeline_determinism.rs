@@ -3,7 +3,7 @@
 //! across executions.
 
 use sketchad_core::{DetectorConfig, StreamingDetector};
-use sketchad_serve::{BackpressurePolicy, PartitionStrategy, ServeConfig, ServeEngine};
+use sketchad_serve::{BackpressurePolicy, ServeConfig, ServeEngine};
 use sketchad_streams::{standard_datasets, DatasetScale, LabeledStream};
 
 fn scores_of(det: &mut dyn StreamingDetector, stream: &LabeledStream) -> Vec<f64> {
@@ -26,7 +26,7 @@ fn engine_scores(stream: &LabeledStream, config: ServeConfig) -> Vec<f64> {
     })
     .expect("engine start");
     engine
-        .submit_batch(stream.iter().map(|(v, _)| v.to_vec()))
+        .submit_batch_rows(&stream.iter().map(|(v, _)| v.to_vec()).collect::<Vec<_>>())
         .expect("submit");
     engine.finish().expect("drain").scores_in_order()
 }
@@ -72,34 +72,4 @@ fn four_shard_engine_is_reproducible() {
     for (i, (x, y)) in a.iter().zip(&b).enumerate() {
         assert_eq!(x.to_bits(), y.to_bits(), "score {i} differs across runs");
     }
-}
-
-/// Key-hash partitioning is also reproducible run-over-run: the stable
-/// hash pins every key to one shard, so per-shard substreams (and hence
-/// scores) are identical across executions.
-#[test]
-fn key_hash_engine_is_reproducible() {
-    let stream = standard_datasets(DatasetScale::Small).remove(0);
-    let run = || {
-        let dim = stream.dim;
-        let config = ServeConfig::new(3).with_partition(PartitionStrategy::KeyHash);
-        let mut engine = ServeEngine::start(config, move |_shard| {
-            Box::new(
-                DetectorConfig::new(5, 32)
-                    .with_warmup(100)
-                    .with_seed(1234)
-                    .build_fd(dim),
-            ) as Box<dyn StreamingDetector + Send>
-        })
-        .expect("engine start");
-        for (i, (v, _)) in stream.iter().enumerate() {
-            engine
-                .submit_keyed(i as u64 % 17, v.to_vec())
-                .expect("submit");
-        }
-        engine.finish().expect("drain").scores_in_order()
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a, b, "key-hash run must reproduce exactly");
 }
